@@ -254,18 +254,31 @@ CciPort::issue(Op op)
             });
         return;
     }
-    ch.request(_id, op.lines,
-               [this, extra, done = std::move(done)]() mutable {
-                   // Channel service finished; propagation takes `extra`.
-                   _fabric._eq.schedule(extra,
-                                        [this, done = std::move(done)]() {
-                                            completed();
-                                            if (done)
-                                                done();
-                                        },
-                                        sim::Priority::Hardware);
-               },
-               op.streamed);
+    const std::uint32_t slot =
+        _inFlightOps.put(InFlight{std::move(done), extra});
+    auto granted = [this, slot] { onGranted(slot); };
+    static_assert(sim::EventClosure::fitsInline<decltype(granted)>());
+    ch.request(_id, op.lines, std::move(granted), op.streamed);
+}
+
+void
+CciPort::onGranted(std::uint32_t slot)
+{
+    // Channel service finished; propagation takes the op's extra latency.
+    auto propagated = [this, slot] { onPropagated(slot); };
+    static_assert(sim::EventClosure::fitsInline<decltype(propagated)>());
+    _fabric._eq.schedule(_inFlightOps[slot].extra_latency,
+                         std::move(propagated), sim::Priority::Hardware);
+}
+
+void
+CciPort::onPropagated(std::uint32_t slot)
+{
+    // Free the slot before completed() issues a queued op into it.
+    EventFn done = _inFlightOps.take(slot).done;
+    completed();
+    if (done)
+        done();
 }
 
 void
@@ -274,11 +287,8 @@ CciPort::completed()
     dagger_assert(_inFlight > 0, "completion without in-flight op");
     _guard.check("ic::CciPort outstanding window");
     --_inFlight;
-    if (!_pendingWindow.empty()) {
-        Op op = std::move(_pendingWindow.front());
-        _pendingWindow.pop_front();
-        issue(std::move(op));
-    }
+    if (!_pendingWindow.empty())
+        issue(_pendingWindow.take());
 }
 
 } // namespace dagger::ic

@@ -13,7 +13,6 @@
 #define DAGGER_IC_CCI_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/ownership.hh"
+#include "sim/reuse.hh"
 
 namespace dagger::sim {
 class ShardedEngine;
@@ -107,8 +107,17 @@ class CciPort
         bool streamed = false;
     };
 
+    /** A transaction in flight: its completion and propagation delay. */
+    struct InFlight
+    {
+        EventFn done;
+        Tick extra_latency = 0;
+    };
+
     void submit(Op op);
     void issue(Op op);
+    void onGranted(std::uint32_t slot);
+    void onPropagated(std::uint32_t slot);
     void completed();
     /** Queue completions land on: the owning node's shard queue on a
      *  sharded system, the fabric's queue otherwise. */
@@ -124,7 +133,11 @@ class CciPort
     DAGGER_OWNED_BY(node) PollMode _pollMode = PollMode::LocalCache;
     DAGGER_OWNED_BY(node) unsigned _inFlight = 0;
     /// ops waiting for an outstanding slot
-    DAGGER_OWNED_BY(node) std::deque<Op> _pendingWindow;
+    DAGGER_OWNED_BY(node) sim::RingFifo<Op> _pendingWindow;
+    /** Completions of issued transactions — at most maxOutstanding,
+     *  so the pool never outgrows the window; the grant and
+     *  propagation events capture only the slot. */
+    DAGGER_OWNED_BY(node) sim::SlotPool<InFlight> _inFlightOps;
 
     DAGGER_OWNED_BY(node) std::uint64_t _fetchTxns = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _postTxns = 0;

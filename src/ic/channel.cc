@@ -44,8 +44,7 @@ Channel::grantNext()
         const unsigned p = (_rrNext + i) % n;
         if (_queues[p].empty())
             continue;
-        Txn txn = std::move(_queues[p].front());
-        _queues[p].pop_front();
+        Txn txn = _queues[p].take();
         ++_grants[p];
         _rrNext = (p + 1) % n;
         _busy = true;
@@ -55,8 +54,9 @@ Channel::grantNext()
         _linesServiced += txn.lines;
         ++_txnsServiced;
         _inService = std::move(txn.done);
-        _eq.schedule(service, [this] { serviceDone(); },
-                     sim::Priority::Hardware);
+        auto finished = [this] { serviceDone(); };
+        static_assert(sim::EventClosure::fitsInline<decltype(finished)>());
+        _eq.schedule(service, std::move(finished), sim::Priority::Hardware);
         return;
     }
     _busy = false;

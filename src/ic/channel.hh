@@ -13,12 +13,12 @@
 #define DAGGER_IC_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/ownership.hh"
+#include "sim/reuse.hh"
 #include "sim/time.hh"
 
 namespace dagger::ic {
@@ -81,9 +81,10 @@ class Channel
   private:
     struct Txn
     {
-        unsigned lines;
+        unsigned lines = 0;
         EventFn done;
-        bool streamed; ///< no per-transaction overhead (pipelined reads)
+        /// no per-transaction overhead (pipelined reads)
+        bool streamed = false;
     };
 
     void grantNext();
@@ -95,7 +96,7 @@ class Channel
     // Arbitration state lives in the fabric/serial domain: node-side
     // ports reach it only through ShardedEngine::postApply (the grant
     // crosses back via postCross).
-    DAGGER_OWNED_BY(fabric) std::vector<std::deque<Txn>> _queues;
+    DAGGER_OWNED_BY(fabric) std::vector<sim::RingFifo<Txn>> _queues;
     DAGGER_OWNED_BY(fabric) std::vector<std::uint64_t> _grants;
     DAGGER_OWNED_BY(fabric) unsigned _rrNext = 0;
     DAGGER_OWNED_BY(fabric) bool _busy = false;

@@ -98,10 +98,11 @@ SwitchPort::send(Packet pkt)
     }
     // Ingress: the packet traverses the switch fabric after hop delay,
     // then serializes out of the destination's egress port.
-    _switch._eq.schedule(_switch._hopDelay,
-                         [sw = &_switch, pkt = std::move(pkt)]() mutable {
-                             sw->route(std::move(pkt));
-                         },
+    auto hop = [sw = &_switch, pkt = std::move(pkt)]() mutable {
+        sw->route(std::move(pkt));
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(hop)>());
+    _switch._eq.schedule(_switch._hopDelay, std::move(hop),
                          sim::Priority::Hardware);
 }
 
@@ -141,12 +142,12 @@ TorSwitch::drainEgress(SwitchPort &port)
         return;
     }
     port._egressBusy = true;
-    port._inFlight = std::move(port._egressQueue.front());
-    port._egressQueue.pop_front();
+    port._inFlight = port._egressQueue.take();
     const Tick ser = _byteTime * port._inFlight.wireBytes();
     ++port._forwarded;
-    port._eq->schedule(ser, [this, &port] { egressDone(port); },
-                       sim::Priority::Hardware);
+    auto serialized = [this, &port] { egressDone(port); };
+    static_assert(sim::EventClosure::fitsInline<decltype(serialized)>());
+    port._eq->schedule(ser, std::move(serialized), sim::Priority::Hardware);
 }
 
 void

@@ -15,7 +15,6 @@
 #define DAGGER_NET_TOR_SWITCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/ownership.hh"
+#include "sim/reuse.hh"
 #include "sim/time.hh"
 
 namespace dagger::sim {
@@ -110,7 +110,7 @@ class SwitchPort
     DAGGER_OWNED_BY(node) std::uint64_t _unroutable = 0; ///< ingress
 
     // Egress side (switch -> this port).
-    DAGGER_OWNED_BY(node) std::deque<Packet> _egressQueue;
+    DAGGER_OWNED_BY(node) sim::RingFifo<Packet> _egressQueue;
     DAGGER_OWNED_BY(node) bool _egressBusy = false;
     /** Packet currently serializing out of this port.  Parked here so
      *  the serialization-done event captures only [this, &port] and

@@ -33,6 +33,8 @@ DaggerNic::DaggerNic(sim::EventQueue &eq, NicConfig cfg, SoftConfig soft,
       _objLb(std::make_unique<ObjectLevelLb>(0, 8))
 {
     dagger_assert(cfg.numFlows >= 1, "NIC needs at least one flow");
+    _spareBatches.reserve(kMaxSpares);
+    _spareBodies.reserve(kMaxSpares);
     _net.setReceiver([this](net::Packet pkt) { onNetReceive(std::move(pkt)); });
 }
 
@@ -133,12 +135,32 @@ DaggerNic::armFetchTimeout(unsigned flow)
                  sim::Priority::Hardware);
 }
 
+std::vector<proto::Frame>
+DaggerNic::takeSpare(SparePool &pool)
+{
+    if (pool.empty())
+        return {};
+    std::vector<proto::Frame> frames = std::move(pool.back());
+    pool.pop_back();
+    return frames;
+}
+
+void
+DaggerNic::recycle(SparePool &pool, std::vector<proto::Frame> &&frames)
+{
+    frames.clear();
+    if (pool.size() < kMaxSpares && frames.capacity() > 0 &&
+        frames.capacity() <= kMaxSpareFrames)
+        pool.push_back(std::move(frames));
+}
+
 void
 DaggerNic::issueFetch(unsigned flow, std::size_t frames)
 {
     FlowState &fs = _flows[flow];
-    auto claimed = fs.tx->popFrames(frames);
-    dagger_assert(claimed.size() == frames, "ring under-delivered");
+    std::vector<proto::Frame> claimed = takeSpare(_spareBatches);
+    const std::size_t got = fs.tx->popFrames(frames, claimed);
+    dagger_assert(got == frames, "ring under-delivered");
     ++fs.outstandingFetches;
     // The RX FSM pipelines asynchronous reads but maybeFetch() stops
     // issuing at the per-flow credit limit; exceeding it means a
@@ -150,14 +172,15 @@ DaggerNic::issueFetch(unsigned flow, std::size_t frames)
     _monitor.framesFetched.inc(frames);
     _monitor.fetchBatch.record(frames);
     pollModeTick();
-    _port.fetch(static_cast<unsigned>(frames),
-                [this, flow, claimed = std::move(claimed)]() mutable {
-                    onFetched(flow, std::move(claimed));
-                });
+    auto done = [this, flow, claimed = std::move(claimed)]() mutable {
+        onFetched(flow, std::move(claimed));
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(done)>());
+    _port.fetch(static_cast<unsigned>(frames), std::move(done));
 }
 
 void
-DaggerNic::onFetched(unsigned flow, std::vector<proto::Frame> frames)
+DaggerNic::onFetched(unsigned flow, std::vector<proto::Frame> &&frames)
 {
     FlowState &fs = _flows[flow];
     dagger_assert(fs.outstandingFetches > 0, "fetch completion underflow");
@@ -165,45 +188,47 @@ DaggerNic::onFetched(unsigned flow, std::vector<proto::Frame> frames)
 
     // Release ring entries once the bookkeeping write lands.
     const std::size_t n = frames.size();
-    _port.bookkeep([tx = fs.tx, n] { tx->release(n); });
+    auto release = [tx = fs.tx, n] { tx->release(n); };
+    static_assert(sim::EventClosure::fitsInline<decltype(release)>());
+    _port.bookkeep(std::move(release));
 
     // Serializer pipeline, then per-message egress.
-    _eq.schedule(pipelineDelay(),
-                 [this, flow, frames = std::move(frames)]() mutable {
-                     FlowState &f = _flows[flow];
-                     for (auto &frame : frames) {
-                         f.partial.push_back(std::move(frame));
-                         const auto need =
-                             f.partial.front().header.frameCount();
-                         if (f.partial.size() < need)
-                             continue;
-                         if (proto::RpcMessage::framesConsistent(
-                                 f.partial)) {
-                             // The fetched frames came straight from
-                             // toFrames() in host memory and are
-                             // already in wire form; forward them as
-                             // the packet instead of re-framing (the
-                             // NIC batches on headers, it does not
-                             // audit host bytes).
-                             egressFrames(std::move(f.partial));
-                         } else {
-                             _monitor.malformed.inc();
-                         }
-                         f.partial.clear();
-                     }
-                     maybeFetch(flow);
-                 },
+    auto serialize = [this, flow, frames = std::move(frames)]() mutable {
+        FlowState &f = _flows[flow];
+        for (auto &frame : frames) {
+            f.partial.push_back(std::move(frame));
+            const auto need = f.partial.front().header.frameCount();
+            if (f.partial.size() < need)
+                continue;
+            if (proto::RpcMessage::framesConsistent(f.partial)) {
+                // The fetched frames came straight from the TX ring in
+                // host memory and are already in wire form; forward
+                // them as the packet instead of re-framing (the NIC
+                // batches on headers, it does not audit host bytes).
+                egressFrames(std::move(f.partial));
+                f.partial = takeSpare(_spareBodies);
+            } else {
+                _monitor.malformed.inc();
+                f.partial.clear();
+            }
+        }
+        recycle(_spareBatches, std::move(frames));
+        maybeFetch(flow);
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(serialize)>());
+    _eq.schedule(pipelineDelay(), std::move(serialize),
                  sim::Priority::Hardware);
 }
 
 void
-DaggerNic::egressFrames(std::vector<proto::Frame> frames)
+DaggerNic::egressFrames(std::vector<proto::Frame> &&frames)
 {
     const proto::ConnId conn = frames.front().header.connId;
     sim::Tick penalty = 0;
     auto tuple = _cm.lookup(conn, CmReader::OutgoingFlow, penalty);
     if (!tuple) {
         _monitor.dropsNoConnection.inc();
+        recycle(_spareBodies, std::move(frames));
         return;
     }
     // Transport state for the connection lives in the HCC (§4.1);
@@ -219,6 +244,7 @@ DaggerNic::egressFrames(std::vector<proto::Frame> frames)
         if (_protocol->onEgress(pkt))
             _net.send(std::move(pkt));
     };
+    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
     // Penalties stall the (in-order) egress pipeline: a later message
     // must not overtake an earlier one that is waiting on a state
     // fill, or per-flow FIFO order would break on the wire.
@@ -238,11 +264,11 @@ DaggerNic::onNetReceive(net::Packet pkt)
     _guard.check("nic::DaggerNic TX pipeline");
     if (!_protocol->onIngress(pkt))
         return;
-    _eq.schedule(pipelineDelay(),
-                 [this, pkt = std::move(pkt)]() mutable {
-                     steerMessage(std::move(pkt));
-                 },
-                 sim::Priority::Hardware);
+    auto steer = [this, pkt = std::move(pkt)]() mutable {
+        steerMessage(std::move(pkt));
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(steer)>());
+    _eq.schedule(pipelineDelay(), std::move(steer), sim::Priority::Hardware);
 }
 
 void
@@ -304,6 +330,8 @@ DaggerNic::steerMessage(net::Packet pkt)
             fs.ingress.push_back(std::move(frame));
         drainIngress(flow);
     }
+    // The frames now sit in the request table; keep their vector.
+    recycle(_spareBodies, std::move(pkt.frames));
     if (penalty == 0) {
         maybePost(flow);
     } else {
@@ -383,28 +411,29 @@ void
 DaggerNic::drainIngress(unsigned flow)
 {
     FlowState &fs = _flows[flow];
-    while (!fs.ingress.empty() && _reqBuffer.freeSlots() > 0) {
-        _reqBuffer.push(flow, std::move(fs.ingress.front()));
-        fs.ingress.pop_front();
-    }
+    while (!fs.ingress.empty() && _reqBuffer.freeSlots() > 0)
+        _reqBuffer.push(flow, fs.ingress.take());
 }
 
 void
 DaggerNic::issuePost(unsigned flow, std::size_t frames)
 {
     FlowState &fs = _flows[flow];
-    auto batch = _reqBuffer.pop(flow, frames);
-    dagger_assert(batch.size() == frames, "request buffer under-delivered");
+    std::vector<proto::Frame> batch = takeSpare(_spareBatches);
+    const std::size_t got = _reqBuffer.pop(flow, frames, batch);
+    dagger_assert(got == frames, "request buffer under-delivered");
     // Popping returned slots to the free FIFO; stalled ingress frames
     // claim them immediately so large messages stream through the
     // table in batch-sized waves.
     drainIngress(flow);
     _monitor.framesPosted.inc(frames);
     _monitor.postBatch.record(frames);
-    _port.post(static_cast<unsigned>(frames),
-               [rx = fs.rx, batch = std::move(batch)]() mutable {
-                   rx->deliver(std::move(batch));
-               });
+    auto deliver = [this, rx = fs.rx, batch = std::move(batch)]() mutable {
+        rx->deliver(std::move(batch));
+        recycle(_spareBatches, std::move(batch));
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(deliver)>());
+    _port.post(static_cast<unsigned>(frames), std::move(deliver));
 }
 
 // ------------------------- poll-mode management -------------------------

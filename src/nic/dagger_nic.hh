@@ -19,7 +19,6 @@
 #define DAGGER_NIC_DAGGER_NIC_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/ownership.hh"
+#include "sim/reuse.hh"
 
 namespace dagger::nic {
 
@@ -136,7 +136,7 @@ class DaggerNic
         /// egress grouping of multi-frame messages
         std::vector<proto::Frame> partial;
         /// ingress frames stalled waiting for a request-buffer slot
-        std::deque<proto::Frame> ingress;
+        sim::RingFifo<proto::Frame> ingress;
     };
 
     sim::Tick pipelineDelay() const
@@ -150,8 +150,13 @@ class DaggerNic
     void maybeFetch(unsigned flow);
     void issueFetch(unsigned flow, std::size_t frames);
     void armFetchTimeout(unsigned flow);
-    void onFetched(unsigned flow, std::vector<proto::Frame> frames);
-    void egressFrames(std::vector<proto::Frame> frames);
+    void onFetched(unsigned flow, std::vector<proto::Frame> &&frames);
+    void egressFrames(std::vector<proto::Frame> &&frames);
+
+    // --- reused frame vectors (fetch/post batches, packet bodies) ---
+    using SparePool = std::vector<std::vector<proto::Frame>>;
+    static std::vector<proto::Frame> takeSpare(SparePool &pool);
+    static void recycle(SparePool &pool, std::vector<proto::Frame> &&frames);
 
     // --- TX path (network -> host) ---
     void onNetReceive(net::Packet pkt);
@@ -177,6 +182,12 @@ class DaggerNic
     DAGGER_OWNED_BY(node) RequestBuffer _reqBuffer;
     DAGGER_OWNED_BY(node) std::vector<FlowState> _flows;
     DAGGER_OWNED_BY(node) PacketMonitor _monitor;
+    /** Emptied frame vectors kept for reuse: fetch/post batches (one
+     *  burst each) apart from packet bodies (one message each), so a
+     *  batch never pins a message-sized vector.  Bounded in count and
+     *  per-vector size, so a rare huge message is not retained. */
+    DAGGER_OWNED_BY(node) SparePool _spareBatches;
+    DAGGER_OWNED_BY(node) SparePool _spareBodies;
     std::unique_ptr<ProtocolUnit> _protocol;
     std::unique_ptr<LoadBalancer> _rrLb;
     std::unique_ptr<LoadBalancer> _staticLb;
@@ -191,6 +202,9 @@ class DaggerNic
     /// in auto mode while keeping the bus pipelined (§4.4: "Dagger
     /// sends multiple asynchronous requests")
     static constexpr unsigned kMaxFlowFetches = 8;
+    /// spare frame vectors kept per pool, and the largest kept (frames)
+    static constexpr std::size_t kMaxSpares = 64;
+    static constexpr std::size_t kMaxSpareFrames = 128;
 };
 
 } // namespace dagger::nic

@@ -5,12 +5,14 @@
 namespace dagger::nic {
 
 RequestBuffer::RequestBuffer(std::size_t slots, unsigned flows)
-    : _table(slots), _flowFifos(flows)
+    : _table(slots), _freeFifo(slots), _flowFifos(flows)
 {
     dagger_assert(slots > 0, "request buffer needs slots");
     dagger_assert(flows > 0, "request buffer needs flows");
+    for (auto &fifo : _flowFifos)
+        fifo.reserve(slots);
     for (SlotId s = 0; s < slots; ++s)
-        _freeFifo.push_back(s);
+        _freeFifo.pushSlot() = s;
 }
 
 std::optional<SlotId>
@@ -21,13 +23,12 @@ RequestBuffer::push(unsigned flow, proto::Frame frame)
         ++_rejections;
         return std::nullopt;
     }
-    const SlotId slot = _freeFifo.front();
-    _freeFifo.pop_front();
+    const SlotId slot = _freeFifo.take();
     DAGGER_DCHECK(slot < _table.size(),
                   "free FIFO handed out slot ", slot, " beyond table size ",
                   _table.size());
     _table[slot] = std::move(frame);
-    _flowFifos[flow].push_back(slot);
+    _flowFifos[flow].pushSlot() = slot;
     ++_pushes;
     return slot;
 }
@@ -39,19 +40,17 @@ RequestBuffer::flowDepth(unsigned flow) const
     return _flowFifos[flow].size();
 }
 
-std::vector<proto::Frame>
-RequestBuffer::pop(unsigned flow, std::size_t n)
+std::size_t
+RequestBuffer::pop(unsigned flow, std::size_t n,
+                   std::vector<proto::Frame> &out)
 {
     dagger_assert(flow < _flowFifos.size(), "bad flow ", flow);
     auto &fifo = _flowFifos[flow];
     const std::size_t take = std::min(n, fifo.size());
-    std::vector<proto::Frame> out;
-    out.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
-        const SlotId slot = fifo.front();
-        fifo.pop_front();
+        const SlotId slot = fifo.take();
         out.push_back(std::move(_table[slot]));
-        _freeFifo.push_back(slot);
+        _freeFifo.pushSlot() = slot;
     }
     // Slots are conserved: every entry is either free or queued in
     // exactly one flow FIFO, so the free FIFO can never outgrow the
@@ -59,7 +58,7 @@ RequestBuffer::pop(unsigned flow, std::size_t n)
     DAGGER_INVARIANT(_freeFifo.size() <= _table.size(),
                      "free FIFO (", _freeFifo.size(),
                      ") outgrew the request table (", _table.size(), ")");
-    return out;
+    return take;
 }
 
 } // namespace dagger::nic

@@ -14,7 +14,6 @@
 #define DAGGER_NIC_REQUEST_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
+#include "sim/reuse.hh"
 
 namespace dagger::nic {
 
@@ -52,10 +52,12 @@ class RequestBuffer
     std::size_t flowDepth(unsigned flow) const;
 
     /**
-     * Pop up to @p n frames from @p flow in FIFO order, returning the
-     * slots to the free FIFO.
+     * Pop up to @p n frames from @p flow in FIFO order, appending them
+     * to @p out and returning the slots to the free FIFO.
+     * @return the number of frames popped.
      */
-    std::vector<proto::Frame> pop(unsigned flow, std::size_t n);
+    std::size_t pop(unsigned flow, std::size_t n,
+                    std::vector<proto::Frame> &out);
 
     std::size_t freeSlots() const { return _freeFifo.size(); }
     std::size_t capacity() const { return _table.size(); }
@@ -84,8 +86,10 @@ class RequestBuffer
     // Embedded in a DaggerNic: node-domain state like the rest of the
     // TX pipeline.
     DAGGER_OWNED_BY(node) std::vector<proto::Frame> _table;
-    DAGGER_OWNED_BY(node) std::deque<SlotId> _freeFifo;
-    DAGGER_OWNED_BY(node) std::vector<std::deque<SlotId>> _flowFifos;
+    // Every slot id is either free or queued in exactly one flow FIFO,
+    // so each FIFO is sized to the table once, at construction.
+    DAGGER_OWNED_BY(node) sim::RingFifo<SlotId> _freeFifo;
+    DAGGER_OWNED_BY(node) std::vector<sim::RingFifo<SlotId>> _flowFifos;
     DAGGER_OWNED_BY(node) std::uint64_t _pushes = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _rejections = 0;
 };

@@ -48,33 +48,35 @@ RpcMessage::frameCount() const
     return (_payload.size() + kFramePayload - 1) / kFramePayload;
 }
 
+void
+RpcMessage::writeFrame(std::size_t i, Frame &f) const
+{
+    f.header.connId = _connId;
+    f.header.rpcId = _rpcId;
+    f.header.fnId = _fnId;
+    f.header.payloadLen = static_cast<std::uint16_t>(_payload.size());
+    f.header.type = _type;
+    f.header.frameIdx = static_cast<std::uint16_t>(i);
+    const std::size_t off = i * kFramePayload;
+    if (off < _payload.size()) {
+        const std::size_t chunk =
+            std::min(kFramePayload, _payload.size() - off);
+        f.view = PayloadView(_payload, off, chunk);
+    } else {
+        f.view = PayloadView();
+    }
+    // Per-frame checksum so a receiver can validate each fragment of a
+    // multi-packet RPC independently, before acknowledging.
+    f.header.checksum = f.computeChecksum();
+}
+
 std::vector<Frame>
 RpcMessage::toFrames() const
 {
     const std::size_t n = frameCount();
-    std::vector<Frame> frames;
-    frames.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        // Emplace fully-formed frames: default-constructing Frame
-        // slots just to overwrite them costs a zeroed handle and an
-        // extra move per frame, and this is the egress hot path.
-        Frame &f = frames.emplace_back();
-        f.header.connId = _connId;
-        f.header.rpcId = _rpcId;
-        f.header.fnId = _fnId;
-        f.header.payloadLen = static_cast<std::uint16_t>(_payload.size());
-        f.header.type = _type;
-        f.header.frameIdx = static_cast<std::uint16_t>(i);
-        const std::size_t off = i * kFramePayload;
-        if (off < _payload.size()) {
-            const std::size_t chunk =
-                std::min(kFramePayload, _payload.size() - off);
-            f.view = PayloadView(_payload, off, chunk);
-        }
-        // Per-frame checksum so a receiver can validate each fragment
-        // of a multi-packet RPC independently, before acknowledging.
-        f.header.checksum = f.computeChecksum();
-    }
+    std::vector<Frame> frames(n);
+    for (std::size_t i = 0; i < n; ++i)
+        writeFrame(i, frames[i]);
     return frames;
 }
 
@@ -220,6 +222,15 @@ Reassembler::push(Frame frame, RpcMessage &out)
     }
     const Key key{h.connId, h.rpcId, h.type};
     Partial &p = _partial[key];
+    if (h.frameIdx == 0 && !p.frames.empty()) {
+        // A fresh first frame for a message still under assembly: the
+        // sender retransmitted it after losing part of the previous
+        // copy.  The stale copy can never complete, so count it once
+        // as malformed and restart from this frame, or the whole
+        // retransmission would be thrown away frame by frame.
+        ++_malformed;
+        p.frames.clear();
+    }
     if (p.frames.empty())
         p.frames.reserve(h.frameCount());
     if (frame.header.frameIdx != p.frames.size()) {

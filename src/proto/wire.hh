@@ -220,6 +220,13 @@ class RpcMessage
     std::vector<Frame> toFrames() const;
 
     /**
+     * Overwrite @p out with wire frame @p i of this message — the
+     * in-place form of toFrames(), for callers that write frames
+     * straight into storage they reuse (the TX ring).
+     */
+    void writeFrame(std::size_t i, Frame &out) const;
+
+    /**
      * Reassemble from frames.  Frames may arrive in order within one
      * message (per-flow FIFO order is preserved by the fabric).  When
      * every frame views the same underlying buffer at its wire offset
@@ -286,6 +293,9 @@ class RpcMessage
  * Software frame reassembler (paper §4.7: "Dagger only features
  * software-based RPC reassembling").  Keyed by (conn, rpc, type);
  * complete() fires the instant the last frame of a message arrives.
+ * A frame 0 that finds a partial copy of its message restarts the
+ * message (a retransmission after a partial loss); the stale copy
+ * counts once as malformed.
  * Buffered frames keep their payload views, so the source buffer
  * stays alive for as long as any message is under assembly.
  */

@@ -58,6 +58,103 @@ RpcClient::callAsyncStatus(proto::FnId fn, const void *data, std::size_t len,
     issueCall(_conn, fn, data, len, {}, std::move(cb));
 }
 
+RpcClient::Call *
+RpcClient::findCall(proto::RpcId id)
+{
+    if (_calls.empty())
+        return nullptr;
+    const std::size_t mask = _calls.size() - 1;
+    for (std::size_t i = id & mask;; i = (i + 1) & mask) {
+        Call &c = _calls[i];
+        if (!c.used)
+            return nullptr;
+        if (c.id == id)
+            return &c;
+    }
+}
+
+std::size_t
+RpcClient::placeCall(proto::RpcId id)
+{
+    const std::size_t mask = _calls.size() - 1;
+    std::size_t i = id & mask;
+    while (_calls[i].used)
+        i = (i + 1) & mask;
+    if (i != (id & mask))
+        ++_displaced;
+    return i;
+}
+
+RpcClient::Call &
+RpcClient::insertCall(proto::RpcId id)
+{
+    if (2 * (_live + 1) > _calls.size())
+        growCalls();
+    Call &c = _calls[placeCall(id)];
+    c.used = true;
+    c.id = id;
+    c.sentAt = 0;
+    c.attempt = 0;
+    c.resendQueued = false;
+    ++_live;
+    return c;
+}
+
+void
+RpcClient::growCalls()
+{
+    std::vector<Call> old = std::move(_calls);
+    _calls = std::vector<Call>(std::max<std::size_t>(16, 2 * old.size()));
+    _displaced = 0;
+    for (Call &c : old)
+        if (c.used)
+            _calls[placeCall(c.id)] = std::move(c);
+}
+
+void
+RpcClient::eraseCall(Call &call)
+{
+    // Backward-shift deletion: pull every later member of the probe
+    // run that may sit in the hole back into it, so lookups never need
+    // tombstones.  Only entries away from their home slot can move, so
+    // the usual case (every call at home) skips the scan.
+    const std::size_t mask = _calls.size() - 1;
+    std::size_t hole = static_cast<std::size_t>(&call - _calls.data());
+    if (hole != (call.id & mask))
+        --_displaced;
+    for (std::size_t j = (hole + 1) & mask; _displaced > 0 && _calls[j].used;
+         j = (j + 1) & mask) {
+        const std::size_t home = _calls[j].id & mask;
+        // Entry j stays if its home lies cyclically in (hole, j].
+        const bool stays = hole <= j ? (hole < home && home <= j)
+                                     : (hole < home || home <= j);
+        if (stays)
+            continue;
+        _calls[hole] = std::move(_calls[j]);
+        if (hole == home)
+            --_displaced;
+        hole = j;
+    }
+    Call &freed = _calls[hole];
+    freed.used = false;
+    freed.cb = nullptr;
+    freed.scb = nullptr;
+    freed.payload = proto::PayloadBuf();
+    freed.msg = proto::RpcMessage();
+    --_live;
+}
+
+sim::Tick
+RpcClient::sendCost() const
+{
+    DaggerSystem &sys = _node.system();
+    sim::Tick cost = sys.sendCpuCost(_node) +
+                     _node.nicDev().cciPort().hostPollPenalty();
+    if (_shared)
+        cost += sys.swCost().srqLockCost;
+    return cost;
+}
+
 void
 RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
                      std::size_t len, ResponseCb cb, StatusCb scb)
@@ -74,75 +171,78 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
         }
         return;
     }
-    DaggerSystem &sys = _node.system();
-    sim::Tick cost = sys.sendCpuCost(_node) +
-                     _node.nicDev().cciPort().hostPollPenalty();
-    if (_shared)
-        cost += sys.swCost().srqLockCost;
-
+    const sim::Tick cost = sendCost();
     const proto::RpcId rpc_id = _nextRpcId++;
-    proto::PayloadBuf payload(data, len);
     if (_bestEffort) {
-        // Fire and forget: no pending entry, no completion tracking.
-        proto::RpcMessage msg(conn, rpc_id, fn, proto::MsgType::Request,
-                              std::move(payload));
-        _thread.execute(cost, [this, msg = std::move(msg)]() {
-            if (_node.flow(_flow).tx.push(msg))
-                ++_sent;
-            else
-                ++_sendFailures;
-        });
+        // Fire and forget: no call entry, no completion tracking.
+        _untracked.push_back(proto::RpcMessage(
+            conn, rpc_id, fn, proto::MsgType::Request, data, len));
+        auto send = [this] { sendUntracked(); };
+        static_assert(sim::EventClosure::fitsInline<decltype(send)>());
+        _thread.execute(cost, std::move(send));
         return;
     }
-    Pending entry;
-    entry.cb = std::move(cb);
-    entry.scb = std::move(scb);
+    Call &call = insertCall(rpc_id);
+    call.cb = std::move(cb);
+    call.scb = std::move(scb);
+    call.msg = proto::RpcMessage(conn, rpc_id, fn, proto::MsgType::Request,
+                                 data, len);
     if (_retry.enabled()) {
-        // Keep what a resend needs; without a policy this handle (and
-        // the timer) is skipped and tracked calls cost what they
+        // Keep the handle a resend re-wraps; without a policy this
+        // (and the timer) is skipped and tracked calls cost what they
         // always did.
-        entry.conn = conn;
-        entry.fn = fn;
-        entry.payload = payload;
+        call.payload = call.msg.payload();
     }
-    _pending.emplace(rpc_id, std::move(entry));
-    proto::RpcMessage msg(conn, rpc_id, fn, proto::MsgType::Request,
-                          std::move(payload));
-
     const sim::Tick issued_at = _node.eq().now();
-    _thread.execute(cost, [this, rpc_id, issued_at, msg = std::move(msg)]() {
-        auto it = _pending.find(rpc_id);
-        if (it == _pending.end())
-            return; // cancelled
-        if (!_node.flow(_flow).tx.push(msg)) {
-            ++_sendFailures;
-            if (_retry.enabled()) {
-                // Full ring on the first copy: keep the entry and let
-                // a short re-attempt timer carry it instead of
-                // dropping the call on the floor.
-                ++_resendDrops;
-                _node.system().reliability().resendDrops.inc();
-                armResendRetry(rpc_id);
-                return;
-            }
-            _pending.erase(it);
+    auto send = [this, rpc_id, issued_at] { sendFirst(rpc_id, issued_at); };
+    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
+    _thread.execute(cost, std::move(send));
+}
+
+void
+RpcClient::sendFirst(proto::RpcId rpc_id, sim::Tick issued_at)
+{
+    Call *call = findCall(rpc_id);
+    if (!call)
+        return; // cancelled
+    if (!_node.flow(_flow).tx.push(call->msg)) {
+        ++_sendFailures;
+        if (_retry.enabled()) {
+            // Full ring on the first copy: keep the entry and let a
+            // short re-attempt timer carry it instead of dropping the
+            // call on the floor.
+            ++_resendDrops;
+            _node.system().reliability().resendDrops.inc();
+            armResendRetry(rpc_id);
             return;
         }
-        const sim::Tick now = _node.eq().now();
-        it->second.sentAt = now;
-        ++_sent;
-        if (_retry.enabled()) {
-            // The timeout budget starts when the request reaches the
-            // TX ring: arming at issue time raced the send lambda
-            // under CPU backlog, so the timer could fire — and
-            // retransmit — before the first copy was ever sent.
-            if (now - issued_at >= _retry.timeout) {
-                ++_spuriousArms;
-                _node.system().reliability().spuriousArms.inc();
-            }
-            armCallTimer(rpc_id, _retry.timeout);
+        eraseCall(*call);
+        return;
+    }
+    const sim::Tick now = _node.eq().now();
+    call->sentAt = now;
+    ++_sent;
+    if (_retry.enabled()) {
+        // The timeout budget starts when the request reaches the TX
+        // ring: arming at issue time raced the send under CPU backlog,
+        // so the timer could fire — and retransmit — before the first
+        // copy was ever sent.
+        if (now - issued_at >= _retry.timeout) {
+            ++_spuriousArms;
+            _node.system().reliability().spuriousArms.inc();
         }
-    });
+        armCallTimer(rpc_id, _retry.timeout);
+    }
+}
+
+void
+RpcClient::sendUntracked()
+{
+    const proto::RpcMessage msg = _untracked.take();
+    if (_node.flow(_flow).tx.push(msg))
+        ++_sent;
+    else
+        ++_sendFailures;
 }
 
 sim::Tick
@@ -177,86 +277,87 @@ RpcClient::armCallTimer(proto::RpcId rpc_id, sim::Tick timeout)
 void
 RpcClient::onCallTimeout(proto::RpcId rpc_id)
 {
-    auto it = _pending.find(rpc_id);
-    if (it == _pending.end())
+    Call *call = findCall(rpc_id);
+    if (!call)
         return; // completed before the timer fired
-    Pending &p = it->second;
-    if (p.attempt >= _retry.maxRetries) {
+    if (call->attempt >= _retry.maxRetries) {
         // Budget exhausted: complete the call with a status instead of
         // leaving a silent orphan behind.
         ++_timeouts;
         _node.system().reliability().timeouts.inc();
         rememberRetried(rpc_id);
-        StatusCb scb = std::move(p.scb);
-        _pending.erase(it);
+        StatusCb scb = std::move(call->scb);
+        eraseCall(*call);
         if (scb) {
             proto::RpcMessage empty;
             scb(CallStatus::TimedOut, empty);
         }
         return;
     }
-    ++p.attempt;
+    const unsigned attempt = ++call->attempt;
     ++_retriesSent;
     _node.system().reliability().retries.inc();
     resend(rpc_id);
-    armCallTimer(rpc_id, retryTimeout(p.attempt));
+    armCallTimer(rpc_id, retryTimeout(attempt));
 }
 
 void
 RpcClient::resend(proto::RpcId rpc_id)
 {
-    auto it = _pending.find(rpc_id);
-    if (it == _pending.end())
+    Call *call = findCall(rpc_id);
+    if (!call)
         return; // resolved meanwhile
-    Pending &p = it->second;
-    proto::RpcMessage msg(p.conn, rpc_id, p.fn, proto::MsgType::Request,
-                          p.payload);
-    DaggerSystem &sys = _node.system();
-    sim::Tick cost = sys.sendCpuCost(_node) +
-                     _node.nicDev().cciPort().hostPollPenalty();
-    if (_shared)
-        cost += sys.swCost().srqLockCost;
-    _thread.execute(cost, [this, rpc_id, msg = std::move(msg)]() {
-        auto it = _pending.find(rpc_id);
-        if (it == _pending.end())
-            return; // resolved while the resend was queued
-        if (!_node.flow(_flow).tx.push(msg)) {
-            // A full backoff used to elapse here with nothing in
-            // flight; re-attempt on a short timer instead, and make
-            // the storm visible.
-            ++_sendFailures;
-            ++_resendDrops;
-            _node.system().reliability().resendDrops.inc();
-            armResendRetry(rpc_id);
-            return;
-        }
-        if (it->second.sentAt == 0) {
-            // First copy to reach the ring (the issue-time send was
-            // dropped): start the round-trip clock and the timeout.
-            it->second.sentAt = _node.eq().now();
-            ++_sent;
-            if (_retry.enabled())
-                armCallTimer(rpc_id, _retry.timeout);
-        }
-    });
+    // Re-wrap the kept payload handle; the send event pushes it.
+    call->msg = proto::RpcMessage(call->msg.connId(), rpc_id,
+                                  call->msg.fnId(), proto::MsgType::Request,
+                                  call->payload);
+    auto send = [this, rpc_id] { pushResend(rpc_id); };
+    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
+    _thread.execute(sendCost(), std::move(send));
+}
+
+void
+RpcClient::pushResend(proto::RpcId rpc_id)
+{
+    Call *call = findCall(rpc_id);
+    if (!call)
+        return; // resolved while the resend was queued
+    if (!_node.flow(_flow).tx.push(call->msg)) {
+        // A full backoff used to elapse here with nothing in flight;
+        // re-attempt on a short timer instead, and make the storm
+        // visible.
+        ++_sendFailures;
+        ++_resendDrops;
+        _node.system().reliability().resendDrops.inc();
+        armResendRetry(rpc_id);
+        return;
+    }
+    if (call->sentAt == 0) {
+        // First copy to reach the ring (the issue-time send was
+        // dropped): start the round-trip clock and the timeout.
+        call->sentAt = _node.eq().now();
+        ++_sent;
+        if (_retry.enabled())
+            armCallTimer(rpc_id, _retry.timeout);
+    }
 }
 
 void
 RpcClient::armResendRetry(proto::RpcId rpc_id)
 {
-    auto it = _pending.find(rpc_id);
-    if (it == _pending.end() || it->second.resendQueued)
+    Call *call = findCall(rpc_id);
+    if (!call || call->resendQueued)
         return;
-    it->second.resendQueued = true;
+    call->resendQueued = true;
     // Deterministic short re-attempt, a fraction of the first timeout:
     // long enough for the NIC to drain ring entries, far shorter than
     // a backoff step.
     const sim::Tick delay = std::max<sim::Tick>(1, _retry.timeout / 8);
     auto fire = [this, rpc_id] {
-        auto it2 = _pending.find(rpc_id);
-        if (it2 == _pending.end())
+        Call *c = findCall(rpc_id);
+        if (!c)
             return;
-        it2->second.resendQueued = false;
+        c->resendQueued = false;
         resend(rpc_id);
     };
     // Hot under ring backpressure; keep it on the event pool's
@@ -273,19 +374,12 @@ RpcClient::callOneWay(proto::FnId fn, const void *data, std::size_t len)
         ++_sendFailures; // recoverable: refused before any work
         return;
     }
-    DaggerSystem &sys = _node.system();
-    sim::Tick cost = sys.sendCpuCost(_node) +
-                     _node.nicDev().cciPort().hostPollPenalty();
-    if (_shared)
-        cost += sys.swCost().srqLockCost;
-    proto::RpcMessage msg(_conn, _nextRpcId++, fn, proto::MsgType::Request,
-                          data, len);
-    _thread.execute(cost, [this, msg = std::move(msg)]() {
-        if (_node.flow(_flow).tx.push(msg))
-            ++_sent;
-        else
-            ++_sendFailures;
-    });
+    const sim::Tick cost = sendCost();
+    _untracked.push_back(proto::RpcMessage(
+        _conn, _nextRpcId++, fn, proto::MsgType::Request, data, len));
+    auto send = [this] { sendUntracked(); };
+    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
+    _thread.execute(cost, std::move(send));
 }
 
 void
@@ -300,43 +394,47 @@ RpcClient::processResponses()
         _rxScheduled = false;
         return;
     }
-    const SwCost &costs = _node.system().swCost();
-    _thread.execute(costs.completionCost,
-                    [this, msg = std::move(msg)]() mutable {
-                        auto it = _pending.find(msg.rpcId());
-                        if (it == _pending.end()) {
-                            if (_retriedDone.count(msg.rpcId())) {
-                                // Duplicate or post-timeout response of
-                                // a retried call: accounted, not an
-                                // unknown orphan — and never delivered
-                                // twice.
-                                ++_lateResponses;
-                                _node.system()
-                                    .reliability()
-                                    .lateResponses.inc();
-                            } else {
-                                ++_orphans;
-                            }
-                        } else {
-                            ++_responses;
-                            _node.system().reliability().completions.inc();
-                            const sim::Tick now = _node.eq().now();
-                            if (it->second.sentAt)
-                                _latency.record(now - it->second.sentAt);
-                            if (it->second.attempt > 0)
-                                rememberRetried(msg.rpcId());
-                            ResponseCb cb = std::move(it->second.cb);
-                            StatusCb scb = std::move(it->second.scb);
-                            _pending.erase(it);
-                            if (scb)
-                                scb(CallStatus::Ok, msg);
-                            else if (cb)
-                                cb(msg);
-                            else
-                                _cq.push(std::move(msg));
-                        }
-                        processResponses();
-                    });
+    _completing.push_back(std::move(msg));
+    auto complete = [this] { completeResponse(); };
+    static_assert(sim::EventClosure::fitsInline<decltype(complete)>());
+    _thread.execute(_node.system().swCost().completionCost,
+                    std::move(complete));
+}
+
+void
+RpcClient::completeResponse()
+{
+    proto::RpcMessage msg = _completing.take();
+    Call *call = findCall(msg.rpcId());
+    if (!call) {
+        if (_retriedDone.count(msg.rpcId())) {
+            // Duplicate or post-timeout response of a retried call:
+            // accounted, not an unknown orphan — and never delivered
+            // twice.
+            ++_lateResponses;
+            _node.system().reliability().lateResponses.inc();
+        } else {
+            ++_orphans;
+        }
+    } else {
+        ++_responses;
+        _node.system().reliability().completions.inc();
+        const sim::Tick now = _node.eq().now();
+        if (call->sentAt)
+            _latency.record(now - call->sentAt);
+        if (call->attempt > 0)
+            rememberRetried(msg.rpcId());
+        ResponseCb cb = std::move(call->cb);
+        StatusCb scb = std::move(call->scb);
+        eraseCall(*call);
+        if (scb)
+            scb(CallStatus::Ok, msg);
+        else if (cb)
+            cb(msg);
+        else
+            _cq.push(std::move(msg));
+    }
+    processResponses();
 }
 
 RpcClient &

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "proto/wire.hh"
@@ -24,6 +23,7 @@
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/check.hh"
+#include "sim/reuse.hh"
 #include "sim/stats.hh"
 
 namespace dagger::rpc {
@@ -166,7 +166,7 @@ class RpcClient
     std::uint64_t spuriousArms() const { return _spuriousArms; }
     /** Resend attempts that found the TX ring full. */
     std::uint64_t resendDrops() const { return _resendDrops; }
-    std::size_t pendingCalls() const { return _pending.size(); }
+    std::size_t pendingCalls() const { return _live; }
 
     /** Round-trip latency of completed calls, in ticks. */
     sim::Histogram &latency() { return _latency; }
@@ -178,13 +178,50 @@ class RpcClient
   private:
     friend class RpcClientPool;
 
+    /**
+     * One tracked call.  The request waits here for its send (and any
+     * resend), so the events that act on a call capture only its id.
+     */
+    struct Call
+    {
+        bool used = false;
+        proto::RpcId id = 0;
+        ResponseCb cb;
+        StatusCb scb;
+        sim::Tick sentAt = 0;
+        unsigned attempt = 0; ///< resends issued so far
+        /** A short ring-full re-attempt is queued; suppresses a second
+         *  chain when the backoff timer fires while one is pending. */
+        bool resendQueued = false;
+        /** Payload handle kept for resends while a RetryPolicy is on. */
+        proto::PayloadBuf payload;
+        /** The request the next send event pushes.  A resend re-wraps
+         *  the kept payload handle; it never re-copies the bytes. */
+        proto::RpcMessage msg;
+    };
+
+    // The call table: open addressing keyed by rpc id with linear
+    // probing, home slot id & (size - 1), at most half full.  Ids are
+    // sequential, so a call almost always sits in its home slot.
+    Call *findCall(proto::RpcId id);
+    /** First free slot on @p id's probe run; counts a displacement. */
+    std::size_t placeCall(proto::RpcId id);
+    Call &insertCall(proto::RpcId id);
+    void eraseCall(Call &call);
+    void growCalls();
+
+    sim::Tick sendCost() const;
     void installRxNotify();
     void processResponses();
+    void completeResponse();
+    void sendFirst(proto::RpcId rpc_id, sim::Tick issued_at);
+    void sendUntracked();
     void issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
                    std::size_t len, ResponseCb cb, StatusCb scb);
     void armCallTimer(proto::RpcId rpc_id, sim::Tick timeout);
     void onCallTimeout(proto::RpcId rpc_id);
     void resend(proto::RpcId rpc_id);
+    void pushResend(proto::RpcId rpc_id);
     void armResendRetry(proto::RpcId rpc_id);
     sim::Tick retryTimeout(unsigned attempt) const;
     void rememberRetried(proto::RpcId rpc_id);
@@ -201,23 +238,17 @@ class RpcClient
     DAGGER_OWNED_BY(node) bool _rxScheduled = false;
     RetryPolicy _retry;
 
-    struct Pending
-    {
-        ResponseCb cb;
-        StatusCb scb;
-        sim::Tick sentAt = 0;
-        unsigned attempt = 0; ///< resends issued so far
-        /** A short ring-full re-attempt is queued; suppresses a second
-         *  chain when the backoff timer fires while one is pending. */
-        bool resendQueued = false;
-        // Resend state, kept only while a RetryPolicy is enabled.  The
-        // payload handle is shared with the in-flight message: resends
-        // re-wrap it, they never re-copy the bytes.
-        proto::ConnId conn = 0;
-        proto::FnId fn = 0;
-        proto::PayloadBuf payload;
-    };
-    DAGGER_OWNED_BY(node) std::unordered_map<proto::RpcId, Pending> _pending;
+    DAGGER_OWNED_BY(node) std::vector<Call> _calls;
+    DAGGER_OWNED_BY(node) std::size_t _live = 0; ///< calls in the table
+    /// calls not in their home slot (they follow a long-pending call)
+    DAGGER_OWNED_BY(node) std::size_t _displaced = 0;
+    /** Responses popped from the RX ring, waiting for their completion
+     *  event; the hardware thread runs work in FIFO order, so each
+     *  event takes the front. */
+    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _completing;
+    /** Untracked requests (one-way, best-effort) waiting for their
+     *  send event, FIFO like _completing. */
+    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _untracked;
 
     /** Ids of retried/timed-out calls, so a late (or duplicate)
      *  response counts as such instead of as an unknown orphan.

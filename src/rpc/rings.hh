@@ -18,7 +18,6 @@
 #define DAGGER_RPC_RINGS_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
+#include "sim/reuse.hh"
 
 namespace dagger::rpc {
 
@@ -37,7 +37,8 @@ namespace dagger::rpc {
 class TxRing
 {
   public:
-    explicit TxRing(std::size_t entries) : _capacity(entries)
+    explicit TxRing(std::size_t entries)
+        : _capacity(entries)
     {
         dagger_assert(entries > 0, "TxRing needs capacity");
     }
@@ -58,52 +59,50 @@ class TxRing
     }
 
     /**
-     * Software: append all frames of @p msg.
+     * Software: append all frames of @p msg, written in place into
+     * ring storage.
      * @retval false the ring is full (flow blocked); nothing written.
      */
     bool
     push(const proto::RpcMessage &msg)
     {
-        auto frames = msg.toFrames();
-        if (!hasSpace(frames.size())) {
+        const std::size_t n = msg.frameCount();
+        if (!hasSpace(n)) {
             ++_blocked;
             return false;
         }
-        _used += frames.size();
-        _pushedFrames += frames.size();
+        _used += n;
+        _pushedFrames += n;
         // Occupancy is the wrap-math ground truth: entries written but
         // not yet released never exceed the ring, and frames the NIC
         // has not claimed yet are a subset of the occupied ones.
         DAGGER_INVARIANT(_used <= _capacity,
                          "TX ring over-filled: used=", _used,
                          " capacity=", _capacity);
-        DAGGER_DCHECK(_pending.size() + frames.size() <= _used,
+        DAGGER_DCHECK(_pending.size() + n <= _used,
                       "TX ring pending frames exceed occupancy");
-        for (auto &f : frames)
-            _pending.push_back(std::move(f));
+        for (std::size_t i = 0; i < n; ++i)
+            msg.writeFrame(i, _pending.pushSlot());
         if (_notify)
             _notify();
         return true;
     }
 
     /**
-     * NIC: claim up to @p n frames in FIFO order.  Claimed entries
-     * stay occupied until release().
+     * NIC: claim up to @p n frames in FIFO order, appending them to
+     * @p out.  Claimed entries stay occupied until release().
+     * @return the number of frames claimed.
      */
-    std::vector<proto::Frame>
-    popFrames(std::size_t n)
+    std::size_t
+    popFrames(std::size_t n, std::vector<proto::Frame> &out)
     {
-        std::vector<proto::Frame> out;
         const std::size_t take = std::min(n, _pending.size());
-        out.reserve(take);
-        for (std::size_t i = 0; i < take; ++i) {
-            out.push_back(std::move(_pending.front()));
-            _pending.pop_front();
-        }
+        for (std::size_t i = 0; i < take; ++i)
+            out.push_back(_pending.take());
         _poppedFrames += take;
         DAGGER_DCHECK(_poppedFrames <= _pushedFrames,
                       "TX ring popped more frames than were pushed");
-        return out;
+        return take;
     }
 
     /** NIC bookkeeping: return @p n entries to the free buffer. */
@@ -135,7 +134,10 @@ class TxRing
     // Ring state is node-domain: producer (software) and consumer
     // (NIC) both run on the owning node's shard queue.
     DAGGER_OWNED_BY(node) std::size_t _used = 0;
-    DAGGER_OWNED_BY(node) std::deque<proto::Frame> _pending;
+    /** Written, unclaimed frames.  Storage grows to the peak backlog
+     *  (at most the ring) and is then reused; sizing it to the ring
+     *  up front cost RSS and setup time on big, mostly idle rings. */
+    DAGGER_OWNED_BY(node) sim::RingFifo<proto::Frame> _pending;
     std::function<void()> _notify;
     std::function<void()> _spaceNotify;
     DAGGER_OWNED_BY(node) std::uint64_t _pushedFrames = 0;
@@ -152,7 +154,8 @@ class TxRing
 class RxRing
 {
   public:
-    explicit RxRing(std::size_t entries) : _capacity(entries)
+    explicit RxRing(std::size_t entries)
+        : _capacity(entries)
     {
         dagger_assert(entries > 0, "RxRing needs capacity");
     }
@@ -161,11 +164,12 @@ class RxRing
     std::size_t occupied() const { return _frames.size(); }
 
     /**
-     * NIC: deliver a batch of frames.
+     * NIC: deliver a batch of frames.  The frames are moved out; the
+     * caller keeps (and may reuse) the vector's storage.
      * @return number of frames actually accepted (rest dropped).
      */
     std::size_t
-    deliver(std::vector<proto::Frame> frames)
+    deliver(std::vector<proto::Frame> &&frames)
     {
         std::size_t accepted = 0;
         for (auto &f : frames) {
@@ -196,9 +200,7 @@ class RxRing
     popMessage(proto::RpcMessage &out)
     {
         while (!_frames.empty()) {
-            proto::Frame f = std::move(_frames.front());
-            _frames.pop_front();
-            if (_reassembler.push(std::move(f), out))
+            if (_reassembler.push(_frames.take(), out))
                 return true;
         }
         return false;
@@ -213,7 +215,8 @@ class RxRing
 
   private:
     std::size_t _capacity;
-    DAGGER_OWNED_BY(node) std::deque<proto::Frame> _frames;
+    /** Delivered, unconsumed frames; storage as for TxRing::_pending. */
+    DAGGER_OWNED_BY(node) sim::RingFifo<proto::Frame> _frames;
     DAGGER_OWNED_BY(node) proto::Reassembler _reassembler;
     std::function<void()> _notify;
     DAGGER_OWNED_BY(node) std::uint64_t _drops = 0;

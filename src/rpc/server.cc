@@ -18,26 +18,34 @@ WorkerPool::submit(sim::Tick cost, sim::EventFn fn)
     ++_submitted;
     ++_inflight;
     const sim::Tick delay = _sys.swCost().workerHandoffDelay;
-    _handoff.push_back(
-        Handoff{cost, [this, fn = std::move(fn)]() mutable {
-                    --_inflight;
-                    fn();
-                }});
-    _eq.schedule(delay, [this] { dispatchOne(); });
+    _handoff.push_back(Handoff{cost, std::move(fn)});
+    auto wake = [this] { dispatchOne(); };
+    static_assert(sim::EventClosure::fitsInline<decltype(wake)>());
+    _eq.schedule(delay, std::move(wake));
 }
 
 void
 WorkerPool::dispatchOne()
 {
     dagger_assert(!_handoff.empty(), "handoff event without queued work");
-    Handoff h = std::move(_handoff.front());
-    _handoff.pop_front();
+    Handoff h = _handoff.take();
     // Pick the least-loaded worker at wakeup time.
     HwThread *best = _workers.front();
     for (HwThread *w : _workers)
         if (w->busyUntil() < best->busyUntil())
             best = w;
-    best->execute(h.cost, std::move(h.fn));
+    const std::uint32_t slot = _running.put(std::move(h.fn));
+    auto run = [this, slot] { runOne(slot); };
+    static_assert(sim::EventClosure::fitsInline<decltype(run)>());
+    best->execute(h.cost, std::move(run));
+}
+
+void
+WorkerPool::runOne(std::uint32_t slot)
+{
+    --_inflight;
+    sim::EventFn fn = _running.take(slot);
+    fn();
 }
 
 RpcServerThread::RpcServerThread(DaggerNode &node, unsigned flow,
@@ -95,16 +103,18 @@ RpcServerThread::processNext()
     // path take over.
     const std::size_t backlog =
         rx.occupied() + (_pool ? _pool->inflight() : 0);
+    auto next = [this] { processNext(); };
+    static_assert(sim::EventClosure::fitsInline<decltype(next)>());
     if (_shed.enabled() && backlog > _shed.maxQueue) {
         ++_shedCalls;
-        _dispatch.execute(costs.pollCost, [this] { processNext(); });
+        _dispatch.execute(costs.pollCost, std::move(next));
         return;
     }
 
     auto it = _handlers.find(msg.fnId());
     if (it == _handlers.end()) {
         ++_unhandled;
-        _dispatch.execute(costs.pollCost, [this] { processNext(); });
+        _dispatch.execute(costs.pollCost, std::move(next));
         return;
     }
 
@@ -113,38 +123,42 @@ RpcServerThread::processNext()
     HandlerOutcome outcome = it->second(msg);
     ++_processed;
 
-    if (_pool) {
-        // Optimized model: dispatch pays poll + deser + handoff; the
-        // worker pays the handler and response-send costs.
-        const sim::Tick dispatch_cost = costs.pollCost +
-            costs.deserializeCost + costs.workerHandoffCpu;
-        _dispatch.execute(
-            dispatch_cost,
-            [this, msg = std::move(msg), outcome = std::move(outcome)]() mutable {
-                const sim::Tick worker_cost = outcome.cost +
-                    (outcome.respond
-                         ? _node.system().sendCpuCost(_node)
-                         : 0);
-                _pool->submit(worker_cost,
-                              [this, msg = std::move(msg),
-                               outcome = std::move(outcome)]() mutable {
-                                  finishRequest(msg, std::move(outcome));
-                              });
-                processNext();
-            });
-        return;
-    }
+    // Optimized model: dispatch pays poll + deser + handoff; the
+    // worker pays the handler and response-send costs.  Simple model:
+    // everything in the dispatch thread.
+    const sim::Tick cost = _pool
+        ? costs.pollCost + costs.deserializeCost + costs.workerHandoffCpu
+        : costs.pollCost + costs.deserializeCost + outcome.cost +
+            (outcome.respond ? _node.system().sendCpuCost(_node) : 0);
+    _dispatched.push_back(
+        Handled{std::move(msg), std::move(outcome), _pool != nullptr});
+    auto done = [this] { dispatchDone(); };
+    static_assert(sim::EventClosure::fitsInline<decltype(done)>());
+    _dispatch.execute(cost, std::move(done));
+}
 
-    // Simple model: everything in the dispatch thread.
-    const sim::Tick total = costs.pollCost + costs.deserializeCost +
-        outcome.cost +
-        (outcome.respond ? _node.system().sendCpuCost(_node) : 0);
-    _dispatch.execute(total,
-                      [this, msg = std::move(msg),
-                       outcome = std::move(outcome)]() mutable {
-                          finishRequest(msg, std::move(outcome));
-                          processNext();
-                      });
+void
+RpcServerThread::dispatchDone()
+{
+    Handled h = _dispatched.take();
+    if (h.viaPool) {
+        const sim::Tick worker_cost = h.outcome.cost +
+            (h.outcome.respond ? _node.system().sendCpuCost(_node) : 0);
+        const std::uint32_t slot = _atWorkers.put(std::move(h));
+        auto done = [this, slot] { workerDone(slot); };
+        static_assert(sim::EventClosure::fitsInline<decltype(done)>());
+        _pool->submit(worker_cost, std::move(done));
+    } else {
+        finishRequest(h.req, std::move(h.outcome));
+    }
+    processNext();
+}
+
+void
+RpcServerThread::workerDone(std::uint32_t slot)
+{
+    Handled h = _atWorkers.take(slot);
+    finishRequest(h.req, std::move(h.outcome));
 }
 
 void
@@ -152,18 +166,24 @@ RpcServerThread::respondLater(proto::ConnId conn, proto::RpcId rpc,
                               proto::FnId fn, const void *data,
                               std::size_t len)
 {
-    proto::RpcMessage resp(conn, rpc, fn, proto::MsgType::Response, data,
-                           len);
-    _dispatch.execute(_node.system().sendCpuCost(_node),
-                      [this, resp = std::move(resp)]() mutable {
-                          TxRing &tx = _node.flow(_flow).tx;
-                          if (!_txBacklog.empty() || !tx.push(resp)) {
-                              ++_txBlocked;
-                              _txBacklog.push_back(std::move(resp));
-                              return;
-                          }
-                          ++_responsesSent;
-                      });
+    _later.push_back(proto::RpcMessage(conn, rpc, fn,
+                                       proto::MsgType::Response, data, len));
+    auto send = [this] { sendLater(); };
+    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
+    _dispatch.execute(_node.system().sendCpuCost(_node), std::move(send));
+}
+
+void
+RpcServerThread::sendLater()
+{
+    proto::RpcMessage resp = _later.take();
+    TxRing &tx = _node.flow(_flow).tx;
+    if (!_txBacklog.empty() || !tx.push(resp)) {
+        ++_txBlocked;
+        _txBacklog.push_back(std::move(resp));
+        return;
+    }
+    ++_responsesSent;
 }
 
 void

@@ -20,7 +20,6 @@
 #define DAGGER_RPC_SERVER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/check.hh"
+#include "sim/reuse.hh"
 #include "sim/stats.hh"
 
 namespace dagger::rpc {
@@ -95,11 +95,12 @@ class WorkerPool
   private:
     struct Handoff
     {
-        sim::Tick cost;
+        sim::Tick cost = 0;
         sim::EventFn fn;
     };
 
     void dispatchOne();
+    void runOne(std::uint32_t slot);
 
     DaggerSystem &_sys;
     std::vector<HwThread *> _workers;
@@ -109,8 +110,11 @@ class WorkerPool
     sim::EventQueue &_eq;
     /** Work waiting out the handoff delay.  Parked here so each
      *  scheduled handoff event captures only `this`; the fixed delay
-     *  makes event order == submit order == deque order (FIFO). */
-    DAGGER_OWNED_BY(node) std::deque<Handoff> _handoff;
+     *  makes event order == submit order == FIFO order. */
+    DAGGER_OWNED_BY(node) sim::RingFifo<Handoff> _handoff;
+    /** Work handed to a worker thread.  Workers finish out of order,
+     *  so each run event captures the slot of its own work. */
+    DAGGER_OWNED_BY(node) sim::SlotPool<sim::EventFn> _running;
     DAGGER_OWNED_BY(node) std::uint64_t _submitted = 0;
     DAGGER_OWNED_BY(node) std::size_t _inflight = 0;
 };
@@ -175,7 +179,18 @@ class RpcServerThread
     HwThread &dispatchThread() { return _dispatch; }
 
   private:
+    /** A handled request waiting for the CPU time it was charged. */
+    struct Handled
+    {
+        proto::RpcMessage req;
+        HandlerOutcome outcome;
+        bool viaPool = false; ///< threading model when it was handled
+    };
+
     void processNext();
+    void dispatchDone();
+    void workerDone(std::uint32_t slot);
+    void sendLater();
     void finishRequest(const proto::RpcMessage &req, HandlerOutcome outcome);
     void flushResponses();
 
@@ -187,7 +202,14 @@ class RpcServerThread
     std::unordered_map<proto::FnId, Handler> _handlers;
     DAGGER_OWNED_BY(node) bool _rxScheduled = false;
     DAGGER_OWNED_BY(node) bool _paused = false;
-    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _txBacklog;
+    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _txBacklog;
+    /** Handled requests waiting for their dispatch-thread event; the
+     *  thread runs work in FIFO order, so each event takes the front. */
+    DAGGER_OWNED_BY(node) sim::RingFifo<Handled> _dispatched;
+    /** Handled requests out on the worker pool, finished in any order. */
+    DAGGER_OWNED_BY(node) sim::SlotPool<Handled> _atWorkers;
+    /** respondLater() responses waiting for their send event (FIFO). */
+    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _later;
     DAGGER_OWNED_BY(node) std::uint64_t _processed = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _responsesSent = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _txBlocked = 0;

@@ -67,7 +67,7 @@
  * domain that may touch the member during a sharded round:
  *
  *   DAGGER_OWNED_BY(node)   std::uint64_t _forwarded = 0;
- *   DAGGER_OWNED_BY(fabric) std::vector<std::deque<Txn>> _queues;
+ *   DAGGER_OWNED_BY(fabric) std::vector<sim::RingFifo<Txn>> _queues;
  *
  * Domains: `node` (a DaggerNode's parallel shard: NIC pipeline, rings,
  * ToR-port egress, CCI window), `fabric` (shard 0: channel arbitration,

@@ -13,6 +13,15 @@ namespace {
 using namespace dagger;
 using namespace dagger::nic;
 
+/** Pop into a fresh vector (pop() appends to a caller's vector). */
+std::vector<proto::Frame>
+popFrames(RequestBuffer &rb, unsigned flow, std::size_t n)
+{
+    std::vector<proto::Frame> out;
+    rb.pop(flow, n, out);
+    return out;
+}
+
 proto::Frame
 frameWithTag(std::uint8_t tag)
 {
@@ -29,7 +38,7 @@ TEST(RequestBuffer, PushPopRoundTrip)
     ASSERT_TRUE(rb.push(0, frameWithTag(2)).has_value());
     EXPECT_EQ(rb.flowDepth(0), 2u);
     EXPECT_EQ(rb.freeSlots(), 6u);
-    auto out = rb.pop(0, 2);
+    auto out = popFrames(rb, 0, 2);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].payloadByte(0), 1);
     EXPECT_EQ(out[1].payloadByte(0), 2);
@@ -43,7 +52,7 @@ TEST(RequestBuffer, FlowsAreIndependent)
     rb.push(1, frameWithTag(2));
     EXPECT_EQ(rb.flowDepth(0), 1u);
     EXPECT_EQ(rb.flowDepth(1), 1u);
-    auto out = rb.pop(1, 4);
+    auto out = popFrames(rb, 1, 4);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].payloadByte(0), 2);
     EXPECT_EQ(rb.flowDepth(0), 1u);
@@ -56,7 +65,7 @@ TEST(RequestBuffer, BackpressureWhenFull)
     EXPECT_TRUE(rb.push(0, frameWithTag(2)).has_value());
     EXPECT_FALSE(rb.push(0, frameWithTag(3)).has_value());
     EXPECT_EQ(rb.rejections(), 1u);
-    rb.pop(0, 1);
+    popFrames(rb, 0, 1);
     EXPECT_TRUE(rb.push(0, frameWithTag(3)).has_value());
 }
 
@@ -65,7 +74,7 @@ TEST(RequestBuffer, SlotsRecycleIndefinitely)
     RequestBuffer rb(4, 1);
     for (int round = 0; round < 1000; ++round) {
         ASSERT_TRUE(rb.push(0, frameWithTag(round & 0xff)).has_value());
-        auto out = rb.pop(0, 1);
+        auto out = popFrames(rb, 0, 1);
         ASSERT_EQ(out.size(), 1u);
         ASSERT_EQ(out[0].payloadByte(0), round & 0xff);
     }
@@ -77,9 +86,9 @@ TEST(RequestBuffer, PopMoreThanDepthReturnsWhatExists)
 {
     RequestBuffer rb(4, 1);
     rb.push(0, frameWithTag(9));
-    auto out = rb.pop(0, 10);
+    auto out = popFrames(rb, 0, 10);
     EXPECT_EQ(out.size(), 1u);
-    EXPECT_TRUE(rb.pop(0, 1).empty());
+    EXPECT_TRUE(popFrames(rb, 0, 1).empty());
 }
 
 TEST(RequestBufferDeath, BadFlowPanics)

@@ -180,4 +180,62 @@ TEST(Reassembler, RequestAndResponseWithSameIdsDoNotCollide)
     EXPECT_EQ(r.inFlight(), 2u);
 }
 
+TEST(Reassembler, RetransmissionAfterTailLossIsDeliveredFirstTime)
+{
+    // A 5-frame message loses its tail frame; the sender then resends
+    // the whole message.  The resend's frame 0 restarts the stale
+    // partial, so the first retransmission is delivered.
+    Reassembler r;
+    RpcMessage m = makeMsg(230), out;
+    auto frames = m.toFrames();
+    ASSERT_EQ(frames.size(), 5u);
+    for (std::size_t i = 0; i + 1 < frames.size(); ++i)
+        EXPECT_FALSE(r.push(frames[i], out));
+    EXPECT_EQ(r.inFlight(), 1u);
+
+    std::size_t delivered = 0;
+    for (const Frame &f : m.toFrames())
+        delivered += r.push(f, out) ? 1 : 0;
+    EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(out.payload(), m.payload());
+    EXPECT_EQ(r.malformed(), 1u); // the stale partial, counted once
+    EXPECT_EQ(r.inFlight(), 0u);
+}
+
+TEST(Reassembler, RestartKeepsOtherMessagesUnderAssembly)
+{
+    Reassembler r;
+    RpcMessage a = makeMsg(130, 1, 1), b = makeMsg(130, 1, 2), out;
+    auto fa = a.toFrames(), fb = b.toFrames();
+    EXPECT_FALSE(r.push(fa[0], out));
+    EXPECT_FALSE(r.push(fb[0], out));
+    EXPECT_FALSE(r.push(fa[1], out));
+    // a's frame 0 again: only a restarts.
+    EXPECT_FALSE(r.push(fa[0], out));
+    EXPECT_EQ(r.malformed(), 1u);
+    EXPECT_EQ(r.inFlight(), 2u);
+    EXPECT_FALSE(r.push(fb[1], out));
+    ASSERT_TRUE(r.push(fb[2], out));
+    EXPECT_EQ(out.rpcId(), 2u);
+    EXPECT_FALSE(r.push(fa[1], out));
+    ASSERT_TRUE(r.push(fa[2], out));
+    EXPECT_EQ(out.payload(), a.payload());
+    EXPECT_EQ(r.inFlight(), 0u);
+}
+
+TEST(Reassembler, RepeatedFirstFrameRestartsEachTime)
+{
+    // Only frame 0 restarts; every abandoned partial counts once.
+    Reassembler r;
+    RpcMessage m = makeMsg(100), out;
+    auto frames = m.toFrames();
+    EXPECT_FALSE(r.push(frames[0], out));
+    EXPECT_FALSE(r.push(frames[0], out));
+    EXPECT_FALSE(r.push(frames[0], out));
+    EXPECT_EQ(r.malformed(), 2u);
+    EXPECT_FALSE(r.push(frames[1], out));
+    ASSERT_TRUE(r.push(frames[2], out));
+    EXPECT_EQ(out.payload(), m.payload());
+}
+
 } // namespace

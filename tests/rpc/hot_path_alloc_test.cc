@@ -1,0 +1,196 @@
+/**
+ * @file
+ * Allocation gate for the RPC hot path.
+ *
+ * Calls, frames and CCI-P completions live in storage that grows to
+ * the work in flight and is then reused, the way Dagger's rings and
+ * request buffer recycle entries through free FIFOs (§4.4).  This
+ * binary replaces the global operator new/delete with counting
+ * versions built on malloc/free, so a change that brings a per-RPC or
+ * per-frame heap allocation back fails here, in every build preset
+ * (the sanitizers intercept malloc underneath).
+ *
+ * Counting covers only simulation steps; no gtest code runs while the
+ * counter is read.
+ */
+
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "rpc/client.hh"
+#include "rpc/server.hh"
+#include "rpc/system.hh"
+
+namespace {
+
+std::atomic<std::uint64_t> gAllocs{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+using namespace dagger;
+using namespace dagger::rpc;
+
+constexpr proto::FnId kEcho = 1;
+
+/**
+ * Closed-loop echo over UPI: one client flow keeps @p window calls in
+ * flight, the server echoes the payload back.
+ */
+class EchoLoop
+{
+  public:
+    EchoLoop(std::size_t payload, unsigned window, std::size_t ring,
+             RetryPolicy retry = {})
+        : _sys(ic::IfaceKind::Upi), _cpus(_sys.eq(), 2), _buf(payload)
+    {
+        nic::NicConfig cfg;
+        cfg.numFlows = 1;
+        cfg.iface = ic::IfaceKind::Upi;
+        cfg.txRingEntries = ring;
+        cfg.rxRingEntries = ring;
+        DaggerNode &cn = _sys.addNode(cfg);
+        DaggerNode &sn = _sys.addNode(cfg);
+        _server = std::make_unique<RpcThreadedServer>(sn);
+        _server->addThread(0, _cpus.core(1).thread(0));
+        _server->registerHandler(kEcho, [](const proto::RpcMessage &req) {
+            HandlerOutcome out;
+            out.response = req.payload();
+            out.cost = sim::nsToTicks(10);
+            return out;
+        });
+        _client =
+            std::make_unique<RpcClient>(cn, 0, _cpus.core(0).thread(0));
+        _client->setConnection(
+            _sys.connect(cn, 0, sn, 0, nic::LbScheme::Static));
+        _client->setRetryPolicy(retry);
+        for (std::size_t i = 0; i < payload; ++i)
+            _buf[i] = static_cast<std::uint8_t>(i * 7 + 1);
+        for (unsigned w = 0; w < window; ++w)
+            issue();
+    }
+
+    /** Run until @p n more calls have completed. */
+    void
+    complete(std::uint64_t n)
+    {
+        const std::uint64_t target = _completed + n;
+        while (_completed < target)
+            _sys.runFor(sim::usToTicks(5));
+    }
+
+    std::uint64_t completed() const { return _completed; }
+    std::uint64_t mismatches() const { return _mismatches; }
+    RpcClient &client() { return *_client; }
+
+  private:
+    void
+    issue()
+    {
+        _client->callAsync(kEcho, _buf.data(), _buf.size(),
+                           [this](const proto::RpcMessage &m) { done(m); });
+    }
+
+    void
+    done(const proto::RpcMessage &m)
+    {
+        ++_completed;
+        if (!(m.payload() == _buf))
+            ++_mismatches;
+        issue();
+    }
+
+    DaggerSystem _sys;
+    CpuSet _cpus;
+    std::unique_ptr<RpcThreadedServer> _server;
+    std::unique_ptr<RpcClient> _client;
+    std::vector<std::uint8_t> _buf;
+    std::uint64_t _completed = 0;
+    std::uint64_t _mismatches = 0;
+};
+
+/**
+ * Calls completed before counting.  Besides the RPC path's own
+ * storage, every one of the event queue's 4096 timing-wheel buckets
+ * keeps its vector and grows it to the most events it has ever held
+ * at once; those maxima settle after about 80k calls of this loop.
+ */
+constexpr std::uint64_t kWarmup = 100000;
+
+/** Heap allocations made while @p loop completes @p n more calls. */
+std::uint64_t
+allocsOver(EchoLoop &loop, std::uint64_t n)
+{
+    const std::uint64_t before = gAllocs.load(std::memory_order_relaxed);
+    loop.complete(n);
+    return gAllocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(HotPathAlloc, SmallEchoSteadyStateAllocatesNothing)
+{
+    // A 64 B RPC: 48 B of payload fill one cache-line frame.
+    EchoLoop loop(proto::kFramePayload, 96, 512);
+    loop.complete(kWarmup);
+    const std::uint64_t allocs = allocsOver(loop, 10000);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(loop.mismatches(), 0u);
+}
+
+TEST(HotPathAlloc, RetryPolicyWithoutLossAllocatesNothing)
+{
+    RetryPolicy retry;
+    retry.timeout = sim::usToTicks(50);
+    retry.maxRetries = 3;
+    EchoLoop loop(proto::kFramePayload, 96, 512, retry);
+    loop.complete(kWarmup);
+    const std::uint64_t allocs = allocsOver(loop, 10000);
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(loop.client().retriesSent(), 0u);
+    EXPECT_EQ(loop.client().timeouts(), 0u);
+    EXPECT_EQ(loop.mismatches(), 0u);
+}
+
+TEST(HotPathAlloc, BulkEchoAllocationsDoNotGrowWithFrames)
+{
+    // 2 KB (43 frames) against 4 KB (86 frames).  What remains per RPC
+    // is per message — the request's payload buffer and reassembly
+    // state — so doubling the frames must not add allocations.
+    constexpr std::uint64_t kCalls = 2000;
+    EchoLoop small(2048, 8, 2048);
+    EchoLoop large(4096, 8, 2048);
+    small.complete(2000);
+    large.complete(2000);
+    const double per_small =
+        static_cast<double>(allocsOver(small, kCalls)) / kCalls;
+    const double per_large =
+        static_cast<double>(allocsOver(large, kCalls)) / kCalls;
+    EXPECT_LE(per_large, per_small + 0.5)
+        << "2 KB: " << per_small << " allocs/RPC, 4 KB: " << per_large;
+    EXPECT_EQ(small.mismatches(), 0u);
+    EXPECT_EQ(large.mismatches(), 0u);
+}
+
+} // namespace

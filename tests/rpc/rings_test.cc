@@ -13,6 +13,15 @@ namespace {
 using namespace dagger;
 using namespace dagger::rpc;
 
+/** Claim into a fresh vector (popFrames() appends to a caller's). */
+std::vector<proto::Frame>
+claim(TxRing &tx, std::size_t n)
+{
+    std::vector<proto::Frame> out;
+    tx.popFrames(n, out);
+    return out;
+}
+
 proto::RpcMessage
 msg(std::size_t len, proto::RpcId id = 1)
 {
@@ -27,7 +36,7 @@ TEST(TxRing, PushPopReleaseCycle)
     EXPECT_TRUE(tx.push(msg(8)));
     EXPECT_EQ(tx.used(), 1u);
     EXPECT_EQ(tx.pendingFrames(), 1u);
-    auto frames = tx.popFrames(1);
+    auto frames = claim(tx, 1);
     EXPECT_EQ(frames.size(), 1u);
     EXPECT_EQ(tx.pendingFrames(), 0u);
     EXPECT_EQ(tx.used(), 1u); // still occupied until bookkeeping
@@ -42,7 +51,7 @@ TEST(TxRing, BlocksWhenEntriesNotReleased)
     EXPECT_TRUE(tx.push(msg(8, 2)));
     EXPECT_FALSE(tx.push(msg(8, 3))); // full: nothing released yet
     EXPECT_EQ(tx.blocked(), 1u);
-    tx.popFrames(2);
+    claim(tx, 2);
     EXPECT_FALSE(tx.push(msg(8, 3))); // popped but not released
     tx.release(2);
     EXPECT_TRUE(tx.push(msg(8, 3)));
@@ -72,7 +81,7 @@ TEST(TxRing, SpaceNotifyFiresOnRelease)
     int space = 0;
     tx.setSpaceNotify([&] { ++space; });
     tx.push(msg(8));
-    tx.popFrames(1);
+    claim(tx, 1);
     tx.release(1);
     EXPECT_EQ(space, 1);
 }
