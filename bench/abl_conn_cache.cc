@@ -67,7 +67,7 @@ runWith(std::size_t cache_entries, unsigned connections)
     sim::Rng rng(7);
     unsigned next = 0;
     for (int i = 0; i < 4000; ++i) {
-        cnode.eq().scheduleAt(sim::nsToTicks(500.0 * i), [&, i] {
+        sys.eq().scheduleAt(sim::nsToTicks(500.0 * i), [&, i] {
             std::uint64_t v = i;
             client.callAsyncOn(conns[next], 1, &v, sizeof(v));
             next = (next + 1) % conns.size();

@@ -135,7 +135,7 @@ runScenario(const Scenario &sc)
     std::vector<std::uint8_t> payload(kPayload, 0xa5);
     std::uint64_t ok = 0, timed_out = 0;
     for (unsigned i = 0; i < kCalls; ++i) {
-        cnode.eq().scheduleAt(usToTicks(i), [&] {
+        sys.eq().scheduleAt(usToTicks(i), [&] {
             cli.callAsyncStatus(
                 1, payload.data(), payload.size(),
                 [&](rpc::CallStatus st, const proto::RpcMessage &) {

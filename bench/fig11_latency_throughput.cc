@@ -51,16 +51,14 @@ run(BenchContext &ctx)
     // serial sweep stopped a curve past saturation, so the same stop
     // rule is applied below at aggregation time to keep tables
     // identical at any --jobs count.
-    const unsigned shards = ctx.shards();
     std::vector<std::function<Point()>> scenarios;
     for (const Curve &curve : kCurves)
         for (double load : kLoads)
-            scenarios.push_back([curve, load, shards] {
+            scenarios.push_back([curve, load] {
                 EchoRig::Options opt;
                 opt.batch = curve.batch;
                 opt.autoBatch = curve.autoBatch;
                 opt.threads = 1;
-                opt.shards = shards;
                 EchoRig rig(opt);
                 return rig.offer(load, sim::msToTicks(2),
                                  sim::msToTicks(8));

@@ -30,8 +30,8 @@ constexpr std::uint64_t kMicaKeys = 1'000'000;
 class KvsRig
 {
   public:
-    KvsRig(KvBackend &backend, KvWorkload &wl, unsigned shards = 1)
-        : _wl(wl), _sys(ic::IfaceKind::Upi, {}, {}, shards)
+    KvsRig(KvBackend &backend, KvWorkload &wl)
+        : _wl(wl), _sys(ic::IfaceKind::Upi)
     {
         nic::NicConfig cfg;
         cfg.numFlows = 1;
@@ -44,12 +44,9 @@ class KvsRig
         _serverNode = &_sys.addNode(cfg, soft);
         _serverNode->nicDev().setObjectLevelKey(0, wl.shape().keyLen);
 
-        // One core per side, each on its node's domain queue (the two
-        // coincide when shards == 1).
-        _clientCpus =
-            std::make_unique<rpc::CpuSet>(_clientNode->eq(), 1);
-        _serverCpus =
-            std::make_unique<rpc::CpuSet>(_serverNode->eq(), 1);
+        // One core per side.
+        _clientCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
+        _serverCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
 
         _client = std::make_unique<rpc::RpcClient>(
             *_clientNode, 0, _clientCpus->core(0).thread(0));
@@ -64,9 +61,9 @@ class KvsRig
 
     rpc::DaggerSystem &system() { return _sys; }
     rpc::RpcThreadedServer &server() { return *_server; }
-    /** The server node's domain queue — where backend-side work (e.g.
-     *  memcached hash costs) must be scheduled. */
-    sim::EventQueue &serverEq() { return _serverNode->eq(); }
+    /** Where backend-side work (e.g. memcached hash costs) is
+     *  scheduled. */
+    sim::EventQueue &serverEq() { return _sys.eq(); }
 
     Point
     run(unsigned window, sim::Tick warmup = sim::msToTicks(3),
@@ -117,7 +114,7 @@ struct KvsResult
 };
 
 KvsResult
-runMica(DatasetShape shape, double theta, unsigned shards)
+runMica(DatasetShape shape, double theta)
 {
     KvsResult result;
     for (double get_ratio : {0.5, 0.95}) {
@@ -143,9 +140,9 @@ runMica(DatasetShape shape, double theta, unsigned shards)
                     backend.kvSet(0, op.key, op.value, scratch);
             }
         }
-        KvsRig rig(backend, wl, shards);
+        KvsRig rig(backend, wl);
         Point p = rig.run(/*window=*/48); // saturation throughput
-        KvsRig lat_rig(backend, wl, shards);
+        KvsRig lat_rig(backend, wl);
         Point lat = lat_rig.run(/*window=*/12); // paper-like pipelining
         p.p50_us = lat.p50_us;
         p.p99_us = lat.p99_us;
@@ -158,7 +155,7 @@ runMica(DatasetShape shape, double theta, unsigned shards)
 }
 
 KvsResult
-runMemcached(DatasetShape shape, unsigned shards)
+runMemcached(DatasetShape shape)
 {
     KvsResult result;
     for (double get_ratio : {0.5, 0.95}) {
@@ -171,17 +168,15 @@ runMemcached(DatasetShape shape, unsigned shards)
         // The backend needs the rig's event queue: build the rig with
         // a placeholder backend, then re-attach a memcached-backed
         // KvsServer (handler re-registration replaces the placeholder).
-        // Backend work is server-side, so it lives on the server
-        // node's domain queue.
         MicaKvs dummy(1, 1 << 20, 1 << 10);
         MicaBackend dummy_backend(dummy);
-        KvsRig rig(dummy_backend, wl, shards);
+        KvsRig rig(dummy_backend, wl);
         MemcachedBackend backend(store, rig.serverEq());
         KvsServer mc_app(rig.server(), backend);
         Point p = rig.run(/*window=*/8); // saturation throughput
         // Latency at light pipelining (the paper's 0.6 Mrps operating
         // point implies ~2 outstanding requests).
-        KvsRig lat_rig(dummy_backend, wl, shards);
+        KvsRig lat_rig(dummy_backend, wl);
         MemcachedBackend lat_backend(store, lat_rig.serverEq());
         KvsServer lat_app(lat_rig.server(), lat_backend);
         Point lat = lat_rig.run(/*window=*/1);
@@ -217,13 +212,12 @@ run(BenchContext &ctx)
 
     // The four Fig. 12 rows plus the §5.6 high-skew MICA run, all
     // independent full-system simulations.
-    const unsigned shards = ctx.shards();
     std::vector<std::function<KvsResult()>> scenarios = {
-        [shards] { return runMemcached(kTiny, shards); },
-        [shards] { return runMemcached(kSmall, shards); },
-        [shards] { return runMica(kTiny, 0.99, shards); },
-        [shards] { return runMica(kSmall, 0.99, shards); },
-        [shards] { return runMica(kTiny, 0.9999, shards); },
+        [] { return runMemcached(kTiny); },
+        [] { return runMemcached(kSmall); },
+        [] { return runMica(kTiny, 0.99); },
+        [] { return runMica(kSmall, 0.99); },
+        [] { return runMica(kTiny, 0.9999); },
     };
     const std::vector<KvsResult> results =
         ctx.runner().run(std::move(scenarios));

@@ -22,16 +22,13 @@
  * wall_ms / events_per_sec fields vary with the host.
  */
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/sharded_engine.hh"
 #include "sim/time.hh"
 
 namespace {
@@ -60,20 +57,6 @@ struct PerfResult
     double mrps = 0;
     std::size_t payloadBytes = 0; ///< payload-sweep rows only
     EventQueue::EngineStats stats;
-    // Sharded-storm extras (zero elsewhere).
-    unsigned shards = 0;
-    unsigned workers = 0;
-    std::vector<double> busyMs;     ///< per shard
-    double parallelMs = 0;
-    double serialMs = 0;
-    double stallFrac = 0;
-    // Round-protocol counters (deterministic; see ShardedEngine docs).
-    std::uint64_t rounds = 0;
-    std::uint64_t soloRuns = 0;
-    std::uint64_t soloChunks = 0;
-    std::uint64_t windowsExtended = 0;
-    std::uint64_t serialElided = 0;
-    std::uint64_t batchFlushes = 0;
 };
 
 /**
@@ -115,145 +98,6 @@ struct Storm
         eq.schedule(d, std::move(next), prio);
     }
 };
-
-/**
- * The storm under the sharded engine: the population is split over the
- * parallel shards (shard 0, the serial domain, stays empty), each
- * shard draws from its own seeded Rng, and 1/16 of the steps hop to
- * the next parallel shard through the engine's cross-domain mailboxes
- * with a delay >= the lookahead.  Every actor only ever touches its
- * own shard's state from that shard's execution context, and stop
- * conditions are per-actor step budgets — no cross-thread reads — so
- * the simulated schedule is identical at any worker count.
- */
-struct ShardedStorm
-{
-    struct Actor
-    {
-        ShardedStorm *storm = nullptr;
-        unsigned shard = 0;
-        dagger::sim::Rng rng{0};
-        std::uint64_t steps = 0;
-        std::uint64_t budget = 0;
-
-        void
-        step()
-        {
-            if (steps >= budget)
-                return;
-            ++steps;
-            const std::uint64_t r = rng.next64();
-            dagger::sim::TickDelta d;
-            if ((r & 3) != 0) // 3:1 near-future vs far-future delays
-                d = 1 + (r >> 2) % dagger::sim::usToTicks(8);
-            else
-                d = dagger::sim::usToTicks(16) +
-                    (r >> 2) % dagger::sim::usToTicks(184);
-            const auto prio = static_cast<dagger::sim::Priority>(
-                ((r >> 32) % 3) * 100);
-            dagger::sim::ShardedEngine &eng = *storm->eng;
-            const unsigned nshards = eng.shards();
-            if (nshards > 2 && (r >> 34) % 16 == 0) {
-                // Hop to the next parallel shard; the extra delay keeps
-                // the hand-off at or beyond the conservative window.
-                const unsigned to = shard + 1 == nshards ? 1 : shard + 1;
-                eng.postCross(shard, to, eng.lookahead() + d,
-                              [a = &storm->actors[to]] { a->step(); },
-                              prio);
-            } else {
-                eng.queue(shard).schedule(d, [this] { step(); }, prio);
-            }
-        }
-    };
-
-    EventQueue q0;
-    std::unique_ptr<dagger::sim::ShardedEngine> eng;
-    std::vector<Actor> actors; ///< index == shard; [0] unused
-
-    explicit ShardedStorm(unsigned shards)
-    {
-        eng = std::make_unique<dagger::sim::ShardedEngine>(
-            q0, shards, dagger::sim::usToTicks(4));
-        const unsigned parallel = shards - 1;
-        actors.resize(shards);
-        // Distribute the division remainders over the low shards so the
-        // step budget and seed population sum to exactly kStormTarget
-        // and kStormPopulation at every shard count — `events` rows are
-        // directly comparable across --shards values.
-        for (unsigned s = 1; s < shards; ++s) {
-            actors[s].storm = this;
-            actors[s].shard = s;
-            actors[s].rng =
-                dagger::sim::Rng(kStormSeed ^ (0x9e3779b97f4a7c15ull * s));
-            actors[s].budget = kStormTarget / parallel +
-                               (s <= kStormTarget % parallel ? 1 : 0);
-        }
-        for (unsigned s = 1; s < shards; ++s) {
-            const unsigned per = kStormPopulation / parallel +
-                                 (s <= kStormPopulation % parallel ? 1 : 0);
-            for (unsigned c = 0; c < per; ++c)
-                eng->queue(s).schedule(c % 1024,
-                                       [a = &actors[s]] { a->step(); });
-        }
-    }
-};
-
-PerfResult runStorm();
-
-PerfResult
-runShardedStorm(unsigned shards)
-{
-    if (shards <= 1) {
-        // The --shards 1 row is the classic single-queue engine on the
-        // same workload family: the PR4-comparable baseline.
-        PerfResult res = runStorm();
-        res.scenario = "storm-sharded";
-        res.shards = 1;
-        return res;
-    }
-    PerfResult res;
-    res.scenario = "storm-sharded";
-    ShardedStorm s(shards);
-    s.eng->setClock(&dagger::bench::engineClockNs);
-    res.shards = shards;
-    res.workers = s.eng->workers();
-    WallTimer timer;
-    // Each step schedules at most one successor, so once every actor
-    // exhausts its budget the queues drain and executed() goes flat.
-    std::uint64_t prev = ~std::uint64_t{0};
-    while (s.eng->executed() != prev) {
-        prev = s.eng->executed();
-        s.eng->runFor(dagger::sim::msToTicks(1));
-    }
-    res.wallSec = timer.seconds();
-    res.events = s.eng->executed();
-    res.finalTick = s.eng->now();
-    res.stats = s.eng->aggregateStats();
-    res.rounds = s.eng->rounds();
-    res.soloRuns = s.eng->soloRuns();
-    res.soloChunks = s.eng->soloChunks();
-    res.windowsExtended = s.eng->windowsExtended();
-    res.serialElided = s.eng->serialElided();
-    res.batchFlushes = s.eng->batchFlushes();
-    std::uint64_t busy_sum = 0;
-    for (unsigned sh = 0; sh < shards; ++sh) {
-        res.busyMs.push_back(
-            static_cast<double>(s.eng->busyNs(sh)) / 1e6);
-        if (sh >= 1)
-            busy_sum += s.eng->busyNs(sh);
-    }
-    res.parallelMs = static_cast<double>(s.eng->parallelNs()) / 1e6;
-    res.serialMs = static_cast<double>(s.eng->serialNs()) / 1e6;
-    const double lanes = static_cast<double>(
-        std::max(1u, s.eng->workers()));
-    const double offered =
-        lanes * static_cast<double>(s.eng->parallelNs());
-    res.stallFrac = offered <= 0.0
-        ? 0.0
-        : std::max(0.0,
-                   1.0 - static_cast<double>(busy_sum) / offered);
-    return res;
-}
 
 PerfResult
 runStorm()
@@ -298,30 +142,25 @@ runEcho(unsigned threads)
  * are widened so a 342-frame message never outsizes its TX ring.
  */
 PerfResult
-runPayloadEcho(std::size_t payload, unsigned shards)
+runPayloadEcho(std::size_t payload)
 {
     PerfResult res;
     res.scenario = "payload";
     res.threads = 2;
     res.payloadBytes = payload;
-    res.shards = shards;
     EchoRig::Options opt;
     opt.threads = 2;
     opt.payload = payload;
-    opt.shards = shards;
     opt.txRingEntries = 2048;
     opt.rxRingEntries = 2048;
     EchoRig rig(opt);
-    dagger::bench::attachEngineClock(rig.system());
     WallTimer timer;
     const dagger::bench::Point p = rig.saturate(
         8, dagger::sim::msToTicks(1), dagger::sim::msToTicks(5));
     res.wallSec = timer.seconds();
     res.events = rig.system().eventsExecuted();
     res.finalTick = rig.system().now();
-    res.stats = rig.system().engine()
-        ? rig.system().engine()->aggregateStats()
-        : rig.system().eq().stats();
+    res.stats = rig.system().eq().stats();
     res.mrps = p.mrps;
     return res;
 }
@@ -359,26 +198,23 @@ run(BenchContext &ctx)
     ctx.config("frame_ticks",
                static_cast<double>(Tick{1} << EventQueue::kFrameShift));
 
-    const unsigned shards = ctx.shards();
     std::vector<std::function<PerfResult()>> scenarios;
     scenarios.emplace_back(runStorm);
-    scenarios.emplace_back([shards] { return runShardedStorm(shards); });
     for (unsigned t : {1u, 2u, 4u})
         scenarios.emplace_back([t] { return runEcho(t); });
     // Payload rows ride at the end: the positional checks below index
     // into the fixed prefix of this list.
     for (std::size_t bytes : kPayloadSweep)
-        scenarios.emplace_back(
-            [bytes, shards] { return runPayloadEcho(bytes, shards); });
+        scenarios.emplace_back([bytes] { return runPayloadEcho(bytes); });
     const std::vector<PerfResult> results =
         ctx.runner().run(std::move(scenarios));
 
     dagger::bench::tableHeader(
         "Simulator event-engine throughput",
-        "scenario       threads shards  events       events/sec    wall-ms");
+        "scenario       threads  events       events/sec    wall-ms");
     for (const PerfResult &r : results)
-        std::printf("%-13s  %6u %6u   %9llu   %10.0f   %8.1f\n",
-                    r.scenario.c_str(), r.threads, r.shards,
+        std::printf("%-13s  %6u   %9llu   %10.0f   %8.1f\n",
+                    r.scenario.c_str(), r.threads,
                     static_cast<unsigned long long>(r.events),
                     eventsPerSec(r), r.wallSec * 1e3);
 
@@ -404,27 +240,7 @@ run(BenchContext &ctx)
         if (r.scenario == "payload") {
             pt.value("payload_bytes",
                      static_cast<double>(r.payloadBytes));
-            pt.value("shards", r.shards);
             pt.value("mrps", r.mrps);
-        }
-        if (r.scenario == "storm-sharded") {
-            pt.value("shards", r.shards);
-            pt.value("engine_workers", r.workers);
-            for (std::size_t s = 0; s < r.busyMs.size(); ++s)
-                pt.value("busy_ms_shard" + std::to_string(s),
-                         r.busyMs[s]);
-            pt.value("parallel_ms", r.parallelMs);
-            pt.value("serial_ms", r.serialMs);
-            pt.value("barrier_stall_frac", r.stallFrac);
-            pt.value("rounds", static_cast<double>(r.rounds));
-            pt.value("solo_runs", static_cast<double>(r.soloRuns));
-            pt.value("solo_chunks", static_cast<double>(r.soloChunks));
-            pt.value("windows_extended",
-                     static_cast<double>(r.windowsExtended));
-            pt.value("serial_elided",
-                     static_cast<double>(r.serialElided));
-            pt.value("batch_flushes",
-                     static_cast<double>(r.batchFlushes));
         }
     }
 
@@ -442,18 +258,10 @@ run(BenchContext &ctx)
     ctx.check("every scenario reports a positive event rate", positive);
     // More fleet => more simulated work in the same measured window;
     // the event count is a simulated quantity, so this is deterministic.
-    const PerfResult &echo1 = results[2];
-    const PerfResult &echo4 = results[4];
+    const PerfResult &echo1 = results[1];
+    const PerfResult &echo4 = results[3];
     ctx.check("echo fleet event count scales with threads",
               echo4.events > echo1.events);
-    const PerfResult &shst = results[1];
-    // The remainder-distributed budget sums to exactly kStormTarget at
-    // every shard count, so the check is exact and S-independent.
-    ctx.check("sharded storm executes its full step budget",
-              shst.events >= kStormTarget);
-    if (shards > 1)
-        ctx.check("sharded storm runs off the per-shard event pools",
-                  poolHitRate(shst.stats) >= 0.98);
     bool sweepDelivers = true;
     for (const PerfResult &r : results)
         if (r.scenario == "payload")

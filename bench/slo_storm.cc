@@ -13,7 +13,7 @@
  * O(cohorts + in-flight)) and scores each operating point against
  * p99/p999 SLOs:
  *
- *  - Flight Registration (Optimized threading, --shards aware): a
+ *  - Flight Registration (Optimized threading): a
  *    capacity ladder whose 50 Krps point *completes* the offered
  *    load yet violates the SLO (the knee a closed-loop drop-rate
  *    criterion never sees), a diurnal curve, an overload point where
@@ -26,9 +26,9 @@
  *
  * Every row checks exactly-once accounting (issued == completed +
  * timeouts + still-pending) and zero orphan responses.  All
- * randomness is seeded; the JSON is byte-identical across --jobs and
- * --shards, and the CI slo-smoke job diffs two shrunk runs
- * (DAGGER_SLO_SMOKE=1) on every push.
+ * randomness is seeded; the JSON is byte-identical across --jobs, and
+ * the CI slo-smoke job diffs two shrunk runs (DAGGER_SLO_SMOKE=1) on
+ * every push.
  */
 
 #include <cstdio>
@@ -98,11 +98,10 @@ struct StormScale
 };
 
 RowResult
-runFlightRow(const FlightRow &row, unsigned shards, const StormScale &scale)
+runFlightRow(const FlightRow &row, const StormScale &scale)
 {
     svc::FlightConfig cfg;
     cfg.model = svc::ThreadingModel::Optimized;
-    cfg.shards = shards;
     cfg.staffReadRate = 500;
     // Reliability stack under test: each check-in fan-out leg gets a
     // 1 ms budget; the Flight tier sheds its RX backlog past 64.
@@ -259,12 +258,10 @@ run(BenchContext &ctx)
         {"qps-1200", 1200.0},
     };
 
-    const unsigned shards = ctx.shards();
     std::vector<std::function<RowResult()>> scenarios;
     for (const FlightRow &row : flight_rows)
-        scenarios.push_back([row, shards, scale] {
-            return runFlightRow(row, shards, scale);
-        });
+        scenarios.push_back(
+            [row, scale] { return runFlightRow(row, scale); });
     for (const SnRow &row : sn_rows)
         scenarios.push_back([row, scale] { return runSnRow(row, scale); });
     const std::vector<RowResult> rows =

@@ -21,9 +21,8 @@
  * construction.
  *
  * Every cohort self-schedules on the one EventQueue passed at
- * construction (the front-end node's domain on a sharded system), so
- * the generated trace is deterministic for a given seed regardless of
- * --jobs or --shards.
+ * construction, so the generated trace is deterministic for a given
+ * seed regardless of --jobs.
  */
 
 #ifndef DAGGER_APP_OPEN_LOOP_HH

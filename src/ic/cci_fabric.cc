@@ -2,7 +2,6 @@
 
 #include "sim/check.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
 
 namespace dagger::ic {
 
@@ -113,28 +112,6 @@ CciFabric::hostTxCpuCost(unsigned batch) const
     return ic::hostTxCpuCost(_kind, batch, _upi, _pcie);
 }
 
-void
-CciPort::bindHost(sim::ShardedEngine &engine, unsigned shard,
-                  EventQueue &hostEq)
-{
-    dagger_assert(shard >= 1,
-                  "CCI ports belong to node domains; shard 0 is the fabric");
-    _engine = &engine;
-    _shard = shard;
-    _hostEq = &hostEq;
-    _guard.bind(&engine, shard);
-    // Both channel directions are shard-0 state shared by every port;
-    // first bind wins, later binds re-tag identically.
-    _fabric._toNic.ownershipGuard().bind(&engine, 0);
-    _fabric._toHost.ownershipGuard().bind(&engine, 0);
-}
-
-EventQueue &
-CciPort::hostEq()
-{
-    return _hostEq ? *_hostEq : _fabric._eq;
-}
-
 Tick
 CciPort::hostPollPenalty() const
 {
@@ -186,9 +163,10 @@ CciPort::bookkeep(EventFn done)
     // empty `done` still schedules a no-op so event counts (and thus
     // seq-number assignment) match the previous engine exactly.
     if (done)
-        hostEq().schedule(extra, std::move(done), sim::Priority::Hardware);
+        _fabric._eq.schedule(extra, std::move(done),
+                             sim::Priority::Hardware);
     else
-        hostEq().schedule(extra, [] {}, sim::Priority::Hardware);
+        _fabric._eq.schedule(extra, [] {}, sim::Priority::Hardware);
 }
 
 void
@@ -202,7 +180,6 @@ void
 CciPort::submit(Op op)
 {
     DAGGER_DCHECK(op.lines > 0, "zero-line CCI-P op on port ", _id);
-    _guard.check("ic::CciPort outstanding window");
     if (_inFlight >= _fabric._maxOutstanding) {
         ++_stalls;
         _pendingWindow.push_back(std::move(op));
@@ -225,35 +202,6 @@ CciPort::issue(Op op)
     Channel &ch = op.to_nic ? _fabric._toNic : _fabric._toHost;
     const Tick extra = op.extra_latency;
     auto done = std::move(op.done);
-    if (_engine) {
-        // Sharded mode: channel arbitration state is owned by the
-        // fabric domain, so hand the request over as an apply (it runs
-        // at its exact sequential position in the serial phase).  The
-        // grant fires in the fabric domain and crosses back with the
-        // propagation latency, which is one of the latencies the
-        // engine lookahead is derived from — so the hand-off is always
-        // at least one window ahead.
-        const unsigned lines = op.lines;
-        const bool streamed = op.streamed;
-        _engine->postApply(
-            _shard,
-            [this, &ch, lines, extra, streamed,
-             done = std::move(done)]() mutable {
-                ch.request(_id, lines,
-                           [this, extra, done = std::move(done)]() mutable {
-                               _engine->postCross(
-                                   0, _shard, extra,
-                                   [this, done = std::move(done)]() {
-                                       completed();
-                                       if (done)
-                                           done();
-                                   },
-                                   sim::Priority::Hardware);
-                           },
-                           streamed);
-            });
-        return;
-    }
     const std::uint32_t slot =
         _inFlightOps.put(InFlight{std::move(done), extra});
     auto granted = [this, slot] { onGranted(slot); };
@@ -285,7 +233,6 @@ void
 CciPort::completed()
 {
     dagger_assert(_inFlight > 0, "completion without in-flight op");
-    _guard.check("ic::CciPort outstanding window");
     --_inFlight;
     if (!_pendingWindow.empty())
         issue(_pendingWindow.take());

@@ -22,12 +22,7 @@
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
-#include "sim/ownership.hh"
 #include "sim/reuse.hh"
-
-namespace dagger::sim {
-class ShardedEngine;
-}
 
 namespace dagger::ic {
 
@@ -71,15 +66,6 @@ class CciPort
      */
     void rawRead(EventFn done);
 
-    /**
-     * Sharded-engine wiring (rpc::DaggerSystem): channel arbitration
-     * stays in the fabric domain (shard 0) while the outstanding
-     * window and every completion run in the owning node's domain on
-     * @p hostEq.  Call before traffic.
-     */
-    void bindHost(sim::ShardedEngine &engine, unsigned shard,
-                  EventQueue &hostEq);
-
     void setPollMode(PollMode mode) { _pollMode = mode; }
     PollMode pollMode() const { return _pollMode; }
 
@@ -119,32 +105,23 @@ class CciPort
     void onGranted(std::uint32_t slot);
     void onPropagated(std::uint32_t slot);
     void completed();
-    /** Queue completions land on: the owning node's shard queue on a
-     *  sharded system, the fabric's queue otherwise. */
-    EventQueue &hostEq();
 
     CciFabric &_fabric;
     unsigned _id;
-    sim::ShardedEngine *_engine = nullptr;
-    unsigned _shard = 0;
-    EventQueue *_hostEq = nullptr;
-    // The outstanding-transaction window and its statistics run in the
-    // owning node's domain; completions cross back via postCross.
-    DAGGER_OWNED_BY(node) PollMode _pollMode = PollMode::LocalCache;
-    DAGGER_OWNED_BY(node) unsigned _inFlight = 0;
+    PollMode _pollMode = PollMode::LocalCache;
+    unsigned _inFlight = 0;
     /// ops waiting for an outstanding slot
-    DAGGER_OWNED_BY(node) sim::RingFifo<Op> _pendingWindow;
+    sim::RingFifo<Op> _pendingWindow;
     /** Completions of issued transactions — at most maxOutstanding,
      *  so the pool never outgrows the window; the grant and
      *  propagation events capture only the slot. */
-    DAGGER_OWNED_BY(node) sim::SlotPool<InFlight> _inFlightOps;
+    sim::SlotPool<InFlight> _inFlightOps;
 
-    DAGGER_OWNED_BY(node) std::uint64_t _fetchTxns = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _postTxns = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _linesFetched = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _linesPosted = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _stalls = 0;
-    sim::OwnershipGuard _guard;
+    std::uint64_t _fetchTxns = 0;
+    std::uint64_t _postTxns = 0;
+    std::uint64_t _linesFetched = 0;
+    std::uint64_t _linesPosted = 0;
+    std::uint64_t _stalls = 0;
 };
 
 /**

@@ -17,7 +17,6 @@
 
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
-#include "sim/ownership.hh"
 #include "sim/reuse.hh"
 #include "sim/time.hh"
 
@@ -75,9 +74,6 @@ class Channel
             : static_cast<double>(_busyTicks) / static_cast<double>(window);
     }
 
-    /** Ownership audit tag; bound to shard 0 on a sharded system. */
-    sim::OwnershipGuard &ownershipGuard() { return _guard; }
-
   private:
     struct Txn
     {
@@ -93,21 +89,17 @@ class Channel
     EventQueue &_eq;
     Tick _lineService;
     Tick _txnOverhead;
-    // Arbitration state lives in the fabric/serial domain: node-side
-    // ports reach it only through ShardedEngine::postApply (the grant
-    // crosses back via postCross).
-    DAGGER_OWNED_BY(fabric) std::vector<sim::RingFifo<Txn>> _queues;
-    DAGGER_OWNED_BY(fabric) std::vector<std::uint64_t> _grants;
-    DAGGER_OWNED_BY(fabric) unsigned _rrNext = 0;
-    DAGGER_OWNED_BY(fabric) bool _busy = false;
+    std::vector<sim::RingFifo<Txn>> _queues;
+    std::vector<std::uint64_t> _grants;
+    unsigned _rrNext = 0;
+    bool _busy = false;
     /** Completion of the transaction in service.  Parked here so the
      *  scheduled event captures only `this` and stays in EventClosure's
      *  inline buffer; at most one transaction is in service at a time. */
-    DAGGER_OWNED_BY(fabric) EventFn _inService;
-    DAGGER_OWNED_BY(fabric) std::uint64_t _linesServiced = 0;
-    DAGGER_OWNED_BY(fabric) std::uint64_t _txnsServiced = 0;
-    DAGGER_OWNED_BY(fabric) Tick _busyTicks = 0;
-    sim::OwnershipGuard _guard;
+    EventFn _inService;
+    std::uint64_t _linesServiced = 0;
+    std::uint64_t _txnsServiced = 0;
+    Tick _busyTicks = 0;
 };
 
 } // namespace dagger::ic

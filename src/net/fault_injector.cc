@@ -23,9 +23,8 @@ FaultInjector::install(SwitchPort &port)
 {
     if (_ports.find(&port) == _ports.end()) {
         // The first port keeps the base seed — a single-port install
-        // sees the classic single-domain stream.  Further ports get
-        // their own mixed stream so no two shard domains ever share
-        // an rng.
+        // sees the classic single-port stream.  Further ports get
+        // their own mixed stream.
         const std::uint64_t seed = _ports.empty()
             ? _spec.seed
             : mixSeed(_spec.seed, 1 + port.node());
@@ -105,16 +104,12 @@ FaultInjector::schedule(SwitchPort &port, PortState &st, Packet pkt,
         port.receiverDeliver(std::move(pkt));
         return;
     }
-    // Re-deliveries self-schedule in the port's own domain queue —
-    // never the injector's construction queue, which on a sharded
-    // system may belong to another shard.
-    port._eq->schedule(delay,
-                       [port = &port, st = &st,
-                        pkt = std::move(pkt)]() mutable {
-                           ++st->delivered;
-                           port->receiverDeliver(std::move(pkt));
-                       },
-                       sim::Priority::Hardware);
+    _eq.schedule(delay,
+                 [port = &port, st = &st, pkt = std::move(pkt)]() mutable {
+                     ++st->delivered;
+                     port->receiverDeliver(std::move(pkt));
+                 },
+                 sim::Priority::Hardware);
 }
 
 void
@@ -131,7 +126,7 @@ FaultInjector::process(SwitchPort &port, Packet pkt)
         ++st.dropped;
         return;
     }
-    if (inFlap(port._eq->now())) {
+    if (inFlap(_eq.now())) {
         ++st.flapDropped;
         return;
     }

@@ -23,13 +23,8 @@
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
-#include "sim/ownership.hh"
 #include "sim/reuse.hh"
 #include "sim/time.hh"
-
-namespace dagger::sim {
-class ShardedEngine;
-}
 
 namespace dagger::net {
 
@@ -76,9 +71,8 @@ class SwitchPort
      * Install a fault injector on this port's *delivery* side: every
      * packet that finishes egress serialization is handed to @p fi
      * instead of the receiver, and @p fi decides whether (and when) it
-     * reaches the receiver.  nullptr uninstalls.  On a sharded system
-     * the injector's per-port state runs in this port's domain (use
-     * FaultInjector::install, which allocates it).
+     * reaches the receiver.  nullptr uninstalls.  Use
+     * FaultInjector::install, which allocates the port's fault state.
      */
     void setFaultInjector(FaultInjector *fi);
 
@@ -95,28 +89,16 @@ class SwitchPort
 
     TorSwitch &_switch;
     NodeId _node;
-    /** Domain this port (and its whole egress pipeline) runs in: the
-     *  owning node's shard queue on a sharded system, the switch's
-     *  queue otherwise. */
-    EventQueue *_eq;
-    unsigned _shard = 0;
     FaultInjector *_fault = nullptr;
     std::function<void(Packet)> _receiver;
 
-    // Per-port counters so a sharded run never shares a cache line of
-    // statistics across domains; the switch accessors sum them.
-    DAGGER_OWNED_BY(node) std::uint64_t _forwarded = 0;  ///< egress
-    DAGGER_OWNED_BY(node) std::uint64_t _dropped = 0;    ///< overflows
-    DAGGER_OWNED_BY(node) std::uint64_t _unroutable = 0; ///< ingress
-
     // Egress side (switch -> this port).
-    DAGGER_OWNED_BY(node) sim::RingFifo<Packet> _egressQueue;
-    DAGGER_OWNED_BY(node) bool _egressBusy = false;
+    sim::RingFifo<Packet> _egressQueue;
+    bool _egressBusy = false;
     /** Packet currently serializing out of this port.  Parked here so
      *  the serialization-done event captures only [this, &port] and
      *  stays inline; egress serializes one packet at a time. */
-    DAGGER_OWNED_BY(node) Packet _inFlight;
-    sim::OwnershipGuard _guard;
+    Packet _inFlight;
 };
 
 /**
@@ -141,19 +123,10 @@ class TorSwitch
     /** Attach (or fetch) the port for @p node. */
     SwitchPort &attach(NodeId node);
 
-    /**
-     * Sharded-engine wiring (rpc::DaggerSystem): the switch fabric
-     * keeps its routing table, but each port's egress pipeline runs in
-     * the owning node's domain.  Call before traffic.
-     */
-    void bindEngine(sim::ShardedEngine *engine) { _engine = engine; }
-    /** Place @p node's port (ingress + egress) on @p shard / @p eq. */
-    void bindPort(NodeId node, EventQueue &eq, unsigned shard);
-
-    std::uint64_t forwarded() const;
-    std::uint64_t dropped() const;
+    std::uint64_t forwarded() const { return _forwarded; }
+    /** Egress-queue overflows plus unroutable packets. */
+    std::uint64_t dropped() const { return _dropped; }
     EventQueue &eventQueue() { return _eq; }
-    Tick hopDelay() const { return _hopDelay; }
 
     /** Register switch statistics under @p scope. */
     void
@@ -174,11 +147,12 @@ class TorSwitch
     void egressDone(SwitchPort &port);
 
     EventQueue &_eq;
-    sim::ShardedEngine *_engine = nullptr;
     Tick _hopDelay;
     Tick _byteTime;
     std::size_t _queueCap;
     std::vector<std::unique_ptr<SwitchPort>> _ports; // indexed by NodeId
+    std::uint64_t _forwarded = 0;
+    std::uint64_t _dropped = 0;
 };
 
 } // namespace dagger::net

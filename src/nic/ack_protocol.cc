@@ -74,9 +74,7 @@ AckProtocol::armTimer(const Key &key)
     // One timer per in-flight packet: `this` plus the 8-byte Key must
     // stay within EventClosure's inline buffer.
     static_assert(sim::EventClosure::fitsInline<decltype(expire)>());
-    // The NIC's queue is this protocol unit's own domain.
-    sim::EventQueue &eq = _nic->eventQueue();
-    eq.schedule(_timeout, std::move(expire));
+    _nic->eventQueue().schedule(_timeout, std::move(expire));
 }
 
 // ------------------------------ ingress ------------------------------

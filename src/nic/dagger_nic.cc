@@ -87,7 +87,6 @@ DaggerNic::protocolEgress(net::Packet pkt)
 void
 DaggerNic::maybeFetch(unsigned flow)
 {
-    _guard.check("nic::DaggerNic RX pipeline");
     FlowState &fs = _flows[flow];
     if (!fs.tx)
         return;
@@ -261,7 +260,6 @@ DaggerNic::egressFrames(std::vector<proto::Frame> &&frames)
 void
 DaggerNic::onNetReceive(net::Packet pkt)
 {
-    _guard.check("nic::DaggerNic TX pipeline");
     if (!_protocol->onIngress(pkt))
         return;
     auto steer = [this, pkt = std::move(pkt)]() mutable {

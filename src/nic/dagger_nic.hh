@@ -34,7 +34,6 @@
 #include "rpc/rings.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
-#include "sim/ownership.hh"
 #include "sim/reuse.hh"
 
 namespace dagger::nic {
@@ -92,10 +91,6 @@ class DaggerNic
      * fill.
      */
     mem::Hcc &hcc() { return _hcc; }
-
-    /** Ownership audit tag for the whole NIC pipeline; bound by
-     *  DaggerSystem::addNode to the owning node's shard. */
-    sim::OwnershipGuard &ownershipGuard() { return _guard; }
 
     PacketMonitor &monitor() { return _monitor; }
     const PacketMonitor &monitor() const { return _monitor; }
@@ -172,31 +167,28 @@ class DaggerNic
 
     sim::EventQueue &_eq;
     NicConfig _cfg;
-    // Everything below is NIC-pipeline state: owned by the node's
-    // shard, mutated only from its queue's events.
-    DAGGER_OWNED_BY(node) SoftConfig _soft;
+    SoftConfig _soft;
     ic::CciPort &_port;
     net::SwitchPort &_net;
-    DAGGER_OWNED_BY(node) ConnectionManager _cm;
-    DAGGER_OWNED_BY(node) mem::Hcc _hcc;
-    DAGGER_OWNED_BY(node) RequestBuffer _reqBuffer;
-    DAGGER_OWNED_BY(node) std::vector<FlowState> _flows;
-    DAGGER_OWNED_BY(node) PacketMonitor _monitor;
+    ConnectionManager _cm;
+    mem::Hcc _hcc;
+    RequestBuffer _reqBuffer;
+    std::vector<FlowState> _flows;
+    PacketMonitor _monitor;
     /** Emptied frame vectors kept for reuse: fetch/post batches (one
      *  burst each) apart from packet bodies (one message each), so a
      *  batch never pins a message-sized vector.  Bounded in count and
      *  per-vector size, so a rare huge message is not retained. */
-    DAGGER_OWNED_BY(node) SparePool _spareBatches;
-    DAGGER_OWNED_BY(node) SparePool _spareBodies;
+    SparePool _spareBatches;
+    SparePool _spareBodies;
     std::unique_ptr<ProtocolUnit> _protocol;
     std::unique_ptr<LoadBalancer> _rrLb;
     std::unique_ptr<LoadBalancer> _staticLb;
     std::unique_ptr<LoadBalancer> _objLb;
-    DAGGER_OWNED_BY(node) std::uint64_t _fetchesInWindow = 0;
-    DAGGER_OWNED_BY(node) sim::Tick _lastPollEval = 0;
+    std::uint64_t _fetchesInWindow = 0;
+    sim::Tick _lastPollEval = 0;
     /// in-order egress pipeline head
-    DAGGER_OWNED_BY(node) sim::Tick _egressFreeAt = 0;
-    sim::OwnershipGuard _guard;
+    sim::Tick _egressFreeAt = 0;
 
     /// cap on per-flow outstanding fetches; creates natural batching
     /// in auto mode while keeping the bus pipelined (§4.4: "Dagger

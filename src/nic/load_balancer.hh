@@ -58,8 +58,8 @@ class RoundRobinLb final : public LoadBalancer
     LbScheme scheme() const override { return LbScheme::RoundRobin; }
 
   private:
-    /// round-robin cursor; owned by the steering NIC's node domain
-    DAGGER_OWNED_BY(node) unsigned _next = 0;
+    /// round-robin cursor
+    unsigned _next = 0;
 };
 
 /** Static balancing: steering recorded in the connection tuple. */

@@ -83,15 +83,13 @@ class RequestBuffer
     }
 
   private:
-    // Embedded in a DaggerNic: node-domain state like the rest of the
-    // TX pipeline.
-    DAGGER_OWNED_BY(node) std::vector<proto::Frame> _table;
+    std::vector<proto::Frame> _table;
     // Every slot id is either free or queued in exactly one flow FIFO,
     // so each FIFO is sized to the table once, at construction.
-    DAGGER_OWNED_BY(node) sim::RingFifo<SlotId> _freeFifo;
-    DAGGER_OWNED_BY(node) std::vector<sim::RingFifo<SlotId>> _flowFifos;
-    DAGGER_OWNED_BY(node) std::uint64_t _pushes = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _rejections = 0;
+    sim::RingFifo<SlotId> _freeFifo;
+    std::vector<sim::RingFifo<SlotId>> _flowFifos;
+    std::uint64_t _pushes = 0;
+    std::uint64_t _rejections = 0;
 };
 
 } // namespace dagger::nic

@@ -12,8 +12,7 @@
  *    to one frame (48 B) live inline in the handle itself (the way a
  *    single-line RPC rides in one flit); larger payloads live on the
  *    heap behind an atomically refcounted handle, so copies of the
- *    handle are cheap and thread-safe across the sharded engine's
- *    worker threads.
+ *    handle are cheap and thread-safe.
  *
  *  - PayloadView: a (handle, offset, length) slice of a PayloadBuf.
  *    Frames carry views into the message buffer instead of owned byte

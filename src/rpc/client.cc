@@ -193,7 +193,7 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
         // always did.
         call.payload = call.msg.payload();
     }
-    const sim::Tick issued_at = _node.eq().now();
+    const sim::Tick issued_at = _node.system().eq().now();
     auto send = [this, rpc_id, issued_at] { sendFirst(rpc_id, issued_at); };
     static_assert(sim::EventClosure::fitsInline<decltype(send)>());
     _thread.execute(cost, std::move(send));
@@ -212,14 +212,14 @@ RpcClient::sendFirst(proto::RpcId rpc_id, sim::Tick issued_at)
             // short re-attempt timer carry it instead of dropping the
             // call on the floor.
             ++_resendDrops;
-            _node.system().reliability().resendDrops.inc();
+            ++_node.system().reliability().resendDrops;
             armResendRetry(rpc_id);
             return;
         }
         eraseCall(*call);
         return;
     }
-    const sim::Tick now = _node.eq().now();
+    const sim::Tick now = _node.system().eq().now();
     call->sentAt = now;
     ++_sent;
     if (_retry.enabled()) {
@@ -229,7 +229,7 @@ RpcClient::sendFirst(proto::RpcId rpc_id, sim::Tick issued_at)
         // copy was ever sent.
         if (now - issued_at >= _retry.timeout) {
             ++_spuriousArms;
-            _node.system().reliability().spuriousArms.inc();
+            ++_node.system().reliability().spuriousArms;
         }
         armCallTimer(rpc_id, _retry.timeout);
     }
@@ -271,7 +271,7 @@ RpcClient::armCallTimer(proto::RpcId rpc_id, sim::Tick timeout)
     // One timer per in-flight retried call; hot under loss, so it must
     // stay on the event pool's allocation-free path.
     static_assert(sim::EventClosure::fitsInline<decltype(expire)>());
-    _node.eq().schedule(timeout, std::move(expire));
+    _node.system().eq().schedule(timeout, std::move(expire));
 }
 
 void
@@ -284,7 +284,7 @@ RpcClient::onCallTimeout(proto::RpcId rpc_id)
         // Budget exhausted: complete the call with a status instead of
         // leaving a silent orphan behind.
         ++_timeouts;
-        _node.system().reliability().timeouts.inc();
+        ++_node.system().reliability().timeouts;
         rememberRetried(rpc_id);
         StatusCb scb = std::move(call->scb);
         eraseCall(*call);
@@ -296,7 +296,7 @@ RpcClient::onCallTimeout(proto::RpcId rpc_id)
     }
     const unsigned attempt = ++call->attempt;
     ++_retriesSent;
-    _node.system().reliability().retries.inc();
+    ++_node.system().reliability().retries;
     resend(rpc_id);
     armCallTimer(rpc_id, retryTimeout(attempt));
 }
@@ -328,14 +328,14 @@ RpcClient::pushResend(proto::RpcId rpc_id)
         // visible.
         ++_sendFailures;
         ++_resendDrops;
-        _node.system().reliability().resendDrops.inc();
+        ++_node.system().reliability().resendDrops;
         armResendRetry(rpc_id);
         return;
     }
     if (call->sentAt == 0) {
         // First copy to reach the ring (the issue-time send was
         // dropped): start the round-trip clock and the timeout.
-        call->sentAt = _node.eq().now();
+        call->sentAt = _node.system().eq().now();
         ++_sent;
         if (_retry.enabled())
             armCallTimer(rpc_id, _retry.timeout);
@@ -363,7 +363,7 @@ RpcClient::armResendRetry(proto::RpcId rpc_id)
     // Hot under ring backpressure; keep it on the event pool's
     // allocation-free path.
     static_assert(sim::EventClosure::fitsInline<decltype(fire)>());
-    _node.eq().schedule(delay, std::move(fire));
+    _node.system().eq().schedule(delay, std::move(fire));
 }
 
 void
@@ -412,14 +412,14 @@ RpcClient::completeResponse()
             // accounted, not an unknown orphan — and never delivered
             // twice.
             ++_lateResponses;
-            _node.system().reliability().lateResponses.inc();
+            ++_node.system().reliability().lateResponses;
         } else {
             ++_orphans;
         }
     } else {
         ++_responses;
-        _node.system().reliability().completions.inc();
-        const sim::Tick now = _node.eq().now();
+        ++_node.system().reliability().completions;
+        const sim::Tick now = _node.system().eq().now();
         if (call->sentAt)
             _latency.record(now - call->sentAt);
         if (call->attempt > 0)

@@ -230,43 +230,41 @@ class RpcClient
     unsigned _flow;
     HwThread &_thread;
     proto::ConnId _conn = 0;
-    // Call state below runs on the owning node's shard queue (the
-    // client's HwThread events and NIC delivery share that domain).
-    DAGGER_OWNED_BY(node) proto::RpcId _nextRpcId = 1;
+    proto::RpcId _nextRpcId = 1;
     bool _shared = false;
     bool _bestEffort = false;
-    DAGGER_OWNED_BY(node) bool _rxScheduled = false;
+    bool _rxScheduled = false;
     RetryPolicy _retry;
 
-    DAGGER_OWNED_BY(node) std::vector<Call> _calls;
-    DAGGER_OWNED_BY(node) std::size_t _live = 0; ///< calls in the table
+    std::vector<Call> _calls;
+    std::size_t _live = 0; ///< calls in the table
     /// calls not in their home slot (they follow a long-pending call)
-    DAGGER_OWNED_BY(node) std::size_t _displaced = 0;
+    std::size_t _displaced = 0;
     /** Responses popped from the RX ring, waiting for their completion
      *  event; the hardware thread runs work in FIFO order, so each
      *  event takes the front. */
-    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _completing;
+    sim::RingFifo<proto::RpcMessage> _completing;
     /** Untracked requests (one-way, best-effort) waiting for their
      *  send event, FIFO like _completing. */
-    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _untracked;
+    sim::RingFifo<proto::RpcMessage> _untracked;
 
     /** Ids of retried/timed-out calls, so a late (or duplicate)
      *  response counts as such instead of as an unknown orphan.
      *  Bounded; ordered so eviction is deterministic. */
-    DAGGER_OWNED_BY(node) std::set<proto::RpcId> _retriedDone;
+    std::set<proto::RpcId> _retriedDone;
     static constexpr std::size_t kRetriedDoneCap = 1024;
 
-    DAGGER_OWNED_BY(node) CompletionQueue _cq;
-    DAGGER_OWNED_BY(node) sim::Histogram _latency{"rpc_rtt"};
-    DAGGER_OWNED_BY(node) std::uint64_t _sent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _responses = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _sendFailures = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _orphans = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _timeouts = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _retriesSent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _lateResponses = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _spuriousArms = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _resendDrops = 0;
+    CompletionQueue _cq;
+    sim::Histogram _latency{"rpc_rtt"};
+    std::uint64_t _sent = 0;
+    std::uint64_t _responses = 0;
+    std::uint64_t _sendFailures = 0;
+    std::uint64_t _orphans = 0;
+    std::uint64_t _timeouts = 0;
+    std::uint64_t _retriesSent = 0;
+    std::uint64_t _lateResponses = 0;
+    std::uint64_t _spuriousArms = 0;
+    std::uint64_t _resendDrops = 0;
 };
 
 /**

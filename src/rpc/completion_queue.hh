@@ -60,11 +60,9 @@ class CompletionQueue
     std::uint64_t completed() const { return _completed; }
 
   private:
-    // Owned by the client's node: delivery and polling both run on the
-    // owning node's shard queue.
-    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _queue;
+    std::deque<proto::RpcMessage> _queue;
     Continuation _continuation;
-    DAGGER_OWNED_BY(node) std::uint64_t _completed = 0;
+    std::uint64_t _completed = 0;
 };
 
 } // namespace dagger::rpc

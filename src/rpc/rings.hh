@@ -131,18 +131,16 @@ class TxRing
 
   private:
     std::size_t _capacity;
-    // Ring state is node-domain: producer (software) and consumer
-    // (NIC) both run on the owning node's shard queue.
-    DAGGER_OWNED_BY(node) std::size_t _used = 0;
+    std::size_t _used = 0;
     /** Written, unclaimed frames.  Storage grows to the peak backlog
      *  (at most the ring) and is then reused; sizing it to the ring
      *  up front cost RSS and setup time on big, mostly idle rings. */
-    DAGGER_OWNED_BY(node) sim::RingFifo<proto::Frame> _pending;
+    sim::RingFifo<proto::Frame> _pending;
     std::function<void()> _notify;
     std::function<void()> _spaceNotify;
-    DAGGER_OWNED_BY(node) std::uint64_t _pushedFrames = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _poppedFrames = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _blocked = 0;
+    std::uint64_t _pushedFrames = 0;
+    std::uint64_t _poppedFrames = 0;
+    std::uint64_t _blocked = 0;
 };
 
 /**
@@ -216,11 +214,11 @@ class RxRing
   private:
     std::size_t _capacity;
     /** Delivered, unconsumed frames; storage as for TxRing::_pending. */
-    DAGGER_OWNED_BY(node) sim::RingFifo<proto::Frame> _frames;
-    DAGGER_OWNED_BY(node) proto::Reassembler _reassembler;
+    sim::RingFifo<proto::Frame> _frames;
+    proto::Reassembler _reassembler;
     std::function<void()> _notify;
-    DAGGER_OWNED_BY(node) std::uint64_t _drops = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _deliveredFrames = 0;
+    std::uint64_t _drops = 0;
+    std::uint64_t _deliveredFrames = 0;
 };
 
 /** A flow's pair of rings (one per NIC flow, Fig. 7). */

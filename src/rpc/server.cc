@@ -5,9 +5,7 @@
 namespace dagger::rpc {
 
 WorkerPool::WorkerPool(DaggerSystem &sys, std::vector<HwThread *> workers)
-    : _sys(sys), _workers(std::move(workers)),
-      _eq(_workers.empty() ? sys.eq()
-                           : _workers.front()->core().eventQueue())
+    : _sys(sys), _workers(std::move(workers))
 {
     dagger_assert(!_workers.empty(), "worker pool needs threads");
 }
@@ -21,7 +19,7 @@ WorkerPool::submit(sim::Tick cost, sim::EventFn fn)
     _handoff.push_back(Handoff{cost, std::move(fn)});
     auto wake = [this] { dispatchOne(); };
     static_assert(sim::EventClosure::fitsInline<decltype(wake)>());
-    _eq.schedule(delay, std::move(wake));
+    _sys.eq().schedule(delay, std::move(wake));
 }
 
 void

@@ -104,19 +104,15 @@ class WorkerPool
 
     DaggerSystem &_sys;
     std::vector<HwThread *> _workers;
-    /** The workers' domain queue: handoff events must fire where the
-     *  worker threads live, which on a sharded system is the owning
-     *  node's shard — never the system-wide queue. */
-    sim::EventQueue &_eq;
     /** Work waiting out the handoff delay.  Parked here so each
      *  scheduled handoff event captures only `this`; the fixed delay
      *  makes event order == submit order == FIFO order. */
-    DAGGER_OWNED_BY(node) sim::RingFifo<Handoff> _handoff;
+    sim::RingFifo<Handoff> _handoff;
     /** Work handed to a worker thread.  Workers finish out of order,
      *  so each run event captures the slot of its own work. */
-    DAGGER_OWNED_BY(node) sim::SlotPool<sim::EventFn> _running;
-    DAGGER_OWNED_BY(node) std::uint64_t _submitted = 0;
-    DAGGER_OWNED_BY(node) std::size_t _inflight = 0;
+    sim::SlotPool<sim::EventFn> _running;
+    std::uint64_t _submitted = 0;
+    std::size_t _inflight = 0;
 };
 
 /**
@@ -200,21 +196,21 @@ class RpcServerThread
     WorkerPool *_pool = nullptr;
     ShedPolicy _shed;
     std::unordered_map<proto::FnId, Handler> _handlers;
-    DAGGER_OWNED_BY(node) bool _rxScheduled = false;
-    DAGGER_OWNED_BY(node) bool _paused = false;
-    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _txBacklog;
+    bool _rxScheduled = false;
+    bool _paused = false;
+    sim::RingFifo<proto::RpcMessage> _txBacklog;
     /** Handled requests waiting for their dispatch-thread event; the
      *  thread runs work in FIFO order, so each event takes the front. */
-    DAGGER_OWNED_BY(node) sim::RingFifo<Handled> _dispatched;
+    sim::RingFifo<Handled> _dispatched;
     /** Handled requests out on the worker pool, finished in any order. */
-    DAGGER_OWNED_BY(node) sim::SlotPool<Handled> _atWorkers;
+    sim::SlotPool<Handled> _atWorkers;
     /** respondLater() responses waiting for their send event (FIFO). */
-    DAGGER_OWNED_BY(node) sim::RingFifo<proto::RpcMessage> _later;
-    DAGGER_OWNED_BY(node) std::uint64_t _processed = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _responsesSent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _txBlocked = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _unhandled = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _shedCalls = 0;
+    sim::RingFifo<proto::RpcMessage> _later;
+    std::uint64_t _processed = 0;
+    std::uint64_t _responsesSent = 0;
+    std::uint64_t _txBlocked = 0;
+    std::uint64_t _unhandled = 0;
+    std::uint64_t _shedCalls = 0;
 };
 
 /**

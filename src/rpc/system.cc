@@ -1,6 +1,5 @@
 #include "rpc/system.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "proto/payload.hh"
@@ -8,175 +7,60 @@
 
 namespace dagger::rpc {
 
-namespace {
-
-/**
- * Conservative window width for the sharded engine: the minimum
- * latency of any event that crosses a domain boundary.  Crossings are
- * (a) the ToR hop (every packet enters the destination node's domain
- * behind it), (b) CCI-P channel grants propagating back to the host
- * port (fetch/post/rawRead `extra` latencies).  Everything else is
- * domain-local.
- */
-sim::Tick
-engineLookahead(ic::IfaceKind iface, const ic::UpiCost &upi,
-                const ic::PcieCost &pcie, sim::Tick hop_delay)
-{
-    sim::Tick w = hop_delay;
-    w = std::min(w, ic::hostTxBaseLatency(iface, upi, pcie));
-    w = std::min(w, ic::isMemoryInterconnect(iface) ? upi.postLatency
-                                                    : pcie.postLatency);
-    w = std::min(w, upi.fetchLatency); // rawRead grant propagation
-    return w;
-}
-
-} // namespace
-
 DaggerSystem::DaggerSystem(ic::IfaceKind iface, ic::UpiCost upi,
-                           ic::PcieCost pcie, unsigned shards)
+                           ic::PcieCost pcie)
     : _fabric(_eq, iface, 0, upi, pcie), _tor(_eq)
 {
-    dagger_assert(shards >= 1, "a system needs at least one shard");
-    if (shards > 1) {
-        _engine = std::make_unique<sim::ShardedEngine>(
-            _eq, shards,
-            engineLookahead(iface, upi, pcie, _tor.hopDelay()));
-        _tor.bindEngine(_engine.get());
-    }
-
     // Registration order here and in addNode() is the legacy report's
     // print order; renderText() walks entries in that order.
     sim::MetricScope root(_metrics, "");
     _fabric.registerMetrics(root.sub("fabric"));
     _tor.registerMetrics(root.sub("tor"));
     root.intGauge("events_executed", [this] { return eventsExecuted(); });
-    // Engine internals (event pool + two-level scheduler, docs/PERF.md),
-    // aggregated across every domain queue on a sharded system.  Hidden
-    // from the legacy text report, which is compared byte-for-byte by
-    // tests; JSON consumers see them under sim.events.*.
+    // Engine internals (event pool + two-level scheduler, docs/PERF.md).
+    // Hidden from the legacy text report, which is compared
+    // byte-for-byte by tests; JSON consumers see them under sim.events.*.
     sim::MetricScope events = root.sub("sim").sub("events");
     events.intGauge("pool_hits",
-                    [this] { return engineStats().poolHits; },
+                    [this] { return _eq.stats().poolHits; },
                     sim::MetricText::Hide);
     events.intGauge("pool_misses",
-                    [this] { return engineStats().poolMisses; },
+                    [this] { return _eq.stats().poolMisses; },
                     sim::MetricText::Hide);
     events.intGauge("pool_blocks",
-                    [this] { return engineStats().poolBlocks; },
+                    [this] { return _eq.stats().poolBlocks; },
                     sim::MetricText::Hide);
     events.intGauge("wheel_admits",
-                    [this] { return engineStats().wheelAdmits; },
+                    [this] { return _eq.stats().wheelAdmits; },
                     sim::MetricText::Hide);
     events.intGauge("frame_admits",
-                    [this] { return engineStats().frameAdmits; },
+                    [this] { return _eq.stats().frameAdmits; },
                     sim::MetricText::Hide);
     events.intGauge("heap_admits",
-                    [this] { return engineStats().heapAdmits; },
+                    [this] { return _eq.stats().heapAdmits; },
                     sim::MetricText::Hide);
     events.intGauge("max_pending",
-                    [this] { return engineStats().maxPending; },
+                    [this] { return _eq.stats().maxPending; },
                     sim::MetricText::Hide);
-    if (_engine) {
-        // Sharded-engine counters (JSON-only, like sim.events.*).
-        sim::MetricScope eng = root.sub("sim").sub("engine");
-        eng.intGauge("shards", [this] { return _engine->shards(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("workers", [this] { return _engine->workers(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("lookahead_ticks",
-                     [this] { return _engine->lookahead(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("rounds", [this] { return _engine->rounds(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("solo_runs", [this] { return _engine->soloRuns(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("solo_chunks",
-                     [this] { return _engine->soloChunks(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("windows_extended",
-                     [this] { return _engine->windowsExtended(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("windows_static",
-                     [this] { return _engine->windowsStatic(); },
-                     sim::MetricText::Hide);
-        eng.gauge("window_ticks_mean",
-                  [this] {
-                      const double n =
-                          static_cast<double>(_engine->rounds());
-                      return n == 0 ? 0.0
-                                    : static_cast<double>(
-                                          _engine->windowTicksSum()) /
-                                          n;
-                  },
-                  sim::MetricText::Hide);
-        eng.intGauge("window_ticks_max",
-                     [this] { return _engine->windowTicksMax(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("serial_elided",
-                     [this] { return _engine->serialElided(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("batch_flushes",
-                     [this] { return _engine->batchFlushes(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("applies", [this] { return _engine->appliesRun(); },
-                     sim::MetricText::Hide);
-        // Host-timing dependent (how barrier arrivals resolved); never
-        // part of any byte-compared surface.
-        eng.intGauge("barrier_spins",
-                     [this] { return _engine->barrierSpins(); },
-                     sim::MetricText::Hide);
-        eng.intGauge("barrier_parks",
-                     [this] { return _engine->barrierParks(); },
-                     sim::MetricText::Hide);
-        for (unsigned s = 0; s < _engine->shards(); ++s) {
-            sim::MetricScope sh =
-                root.sub("sim").sub("shard" + std::to_string(s));
-            sh.intGauge("executed",
-                        [this, s] { return _engine->queue(s).executed(); },
-                        sim::MetricText::Hide);
-            sh.intGauge("cross_sent",
-                        [this, s] { return _engine->shardStats(s).crossSent; },
-                        sim::MetricText::Hide);
-            sh.intGauge("cross_recvd",
-                        [this, s] {
-                            return _engine->shardStats(s).crossRecvd;
-                        },
-                        sim::MetricText::Hide);
-            sh.intGauge("spills",
-                        [this, s] { return _engine->shardStats(s).spills; },
-                        sim::MetricText::Hide);
-            sh.intGauge("windows",
-                        [this, s] {
-                            return _engine->shardStats(s).windowsRun;
-                        },
-                        sim::MetricText::Hide);
-            sh.intGauge("mailbox_high_water",
-                        [this, s] { return _engine->mailboxHighWater(s); },
-                        sim::MetricText::Hide);
-            sh.intGauge("mailbox_overflowed",
-                        [this, s] { return _engine->mailboxOverflowed(s); },
-                        sim::MetricText::Hide);
-        }
-    }
     // Client retry/timeout behaviour, aggregated across all RpcClients
     // (JSON-only, like sim.events.*: the text report is byte-compared).
     sim::MetricScope rel = root.sub("rpc").sub("reliability");
-    rel.intGauge("retries", [this] { return _reliability.retries.value(); },
+    rel.intGauge("retries", [this] { return _reliability.retries; },
                  sim::MetricText::Hide);
     rel.intGauge("timeouts",
-                 [this] { return _reliability.timeouts.value(); },
+                 [this] { return _reliability.timeouts; },
                  sim::MetricText::Hide);
     rel.intGauge("completions",
-                 [this] { return _reliability.completions.value(); },
+                 [this] { return _reliability.completions; },
                  sim::MetricText::Hide);
     rel.intGauge("late_responses",
-                 [this] { return _reliability.lateResponses.value(); },
+                 [this] { return _reliability.lateResponses; },
                  sim::MetricText::Hide);
     rel.intGauge("spurious_arms",
-                 [this] { return _reliability.spuriousArms.value(); },
+                 [this] { return _reliability.spuriousArms; },
                  sim::MetricText::Hide);
     rel.intGauge("resend_drops",
-                 [this] { return _reliability.resendDrops.value(); },
+                 [this] { return _reliability.resendDrops; },
                  sim::MetricText::Hide);
     // Payload-path traffic accounting (JSON-only).  The counters are
     // process-global (proto::payloadStats()), not per-system: they
@@ -189,12 +73,6 @@ DaggerSystem::DaggerSystem(ic::IfaceKind iface, ic::UpiCost upi,
     pay.intGauge("handle_passes",
                  [] { return proto::payloadStats().handlePasses; },
                  sim::MetricText::Hide);
-}
-
-sim::EventQueue::EngineStats
-DaggerSystem::engineStats() const
-{
-    return _engine ? _engine->aggregateStats() : _eq.stats();
 }
 
 FlowRings &
@@ -211,26 +89,9 @@ DaggerSystem::addNode(nic::NicConfig cfg, nic::SoftConfig soft)
     node->_system = this;
     node->_id = static_cast<net::NodeId>(_nodes.size());
 
-    // Domain assignment: shard 0 is the fabric/ToR serial domain;
-    // nodes round-robin over the parallel shards.  Everything the node
-    // owns — NIC pipeline, rings, its ToR port's egress, CCI window —
-    // runs on its shard queue.
-    node->_eq = &_eq;
-    if (_engine) {
-        node->_shard = 1 + (node->_id % (_engine->shards() - 1));
-        node->_eq = &_engine->queue(node->_shard);
-    }
-
     ic::CciPort &port = _fabric.addPort();
     net::SwitchPort &sw = _tor.attach(node->_id);
-    if (_engine) {
-        port.bindHost(*_engine, node->_shard, *node->_eq);
-        _tor.bindPort(node->_id, *node->_eq, node->_shard);
-    }
-    node->_nic = std::make_unique<nic::DaggerNic>(*node->_eq, cfg, soft,
-                                                  port, sw);
-    if (_engine)
-        node->_nic->ownershipGuard().bind(_engine.get(), node->_shard);
+    node->_nic = std::make_unique<nic::DaggerNic>(_eq, cfg, soft, port, sw);
 
     node->_rings.reserve(cfg.numFlows);
     for (unsigned f = 0; f < cfg.numFlows; ++f) {

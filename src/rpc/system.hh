@@ -14,7 +14,6 @@
 #ifndef DAGGER_RPC_SYSTEM_HH
 #define DAGGER_RPC_SYSTEM_HH
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "rpc/sw_cost.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
-#include "sim/sharded_engine.hh"
 
 namespace dagger::rpc {
 
@@ -39,13 +37,6 @@ class DaggerNode
     nic::DaggerNic &nicDev() { return *_nic; }
     net::NodeId id() const { return _id; }
 
-    /** Event queue this node's domain runs on: its shard queue on a
-     *  sharded system, the system queue otherwise.  Everything acting
-     *  on behalf of this node (clients, server threads, services) must
-     *  schedule here, never on DaggerSystem::eq() directly. */
-    sim::EventQueue &eq() { return *_eq; }
-    unsigned shard() const { return _shard; }
-
     FlowRings &flow(unsigned i);
     unsigned numFlows() const { return static_cast<unsigned>(_rings.size()); }
     DaggerSystem &system() { return *_system; }
@@ -56,30 +47,8 @@ class DaggerNode
 
     DaggerSystem *_system = nullptr;
     net::NodeId _id = 0;
-    sim::EventQueue *_eq = nullptr;
-    unsigned _shard = 0;
     std::vector<std::unique_ptr<FlowRings>> _rings;
     std::unique_ptr<nic::DaggerNic> _nic;
-};
-
-/**
- * One system-wide reliability counter.  Clients live on their node's
- * shard, so increments can land from several shard workers inside one
- * parallel phase; the value is a commutative sum, so relaxed atomics
- * keep the final report deterministic without serializing the hot
- * path or routing every bump through a mailbox.
- */
-class RelCounter
-{
-  public:
-    void inc(std::uint64_t by = 1)
-    {
-        _v.fetch_add(by, std::memory_order_relaxed);
-    }
-    std::uint64_t value() const { return _v.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::uint64_t> _v{0};
 };
 
 /**
@@ -89,33 +58,25 @@ class RelCounter
  */
 struct ReliabilityStats
 {
-    RelCounter retries;
-    RelCounter timeouts;
-    RelCounter completions;
-    RelCounter lateResponses;
+    std::uint64_t retries = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t completions = 0;
+    std::uint64_t lateResponses = 0;
     /** Timer arms that the pre-fix issue-time arming would already
      *  have expired (send delayed past the timeout by CPU backlog). */
-    RelCounter spuriousArms;
+    std::uint64_t spuriousArms = 0;
     /** Resend attempts dropped on a full TX ring (re-attempted on a
      *  short timer instead of waiting out a full backoff). */
-    RelCounter resendDrops;
+    std::uint64_t resendDrops = 0;
 };
 
 /** Full simulated deployment. */
 class DaggerSystem
 {
   public:
-    /**
-     * @param iface  CPU-NIC interface flavour for all nodes
-     * @param shards event-engine domains: 1 keeps the classic
-     *               single-queue engine; N >= 2 runs the fabric/ToR on
-     *               shard 0 and spreads nodes over shards 1..N-1 under
-     *               the sharded parallel engine (sim/sharded_engine.hh)
-     *               with an identical event order.
-     */
+    /** @param iface CPU-NIC interface flavour for all nodes */
     explicit DaggerSystem(ic::IfaceKind iface = ic::IfaceKind::Upi,
-                          ic::UpiCost upi = {}, ic::PcieCost pcie = {},
-                          unsigned shards = 1);
+                          ic::UpiCost upi = {}, ic::PcieCost pcie = {});
 
     /** Create a node (NIC instance + rings); returns a stable ref. */
     DaggerNode &addNode(nic::NicConfig cfg = {}, nic::SoftConfig soft = {});
@@ -138,43 +99,15 @@ class DaggerSystem
     /** Close a connection on both sides. */
     void disconnect(proto::ConnId id);
 
-    /** Shard 0's queue (fabric/ToR domain).  Per-node work must use
-     *  DaggerNode::eq(); driving time forward must use runFor() /
-     *  runUntilTick() so every domain advances. */
+    /** The one event queue every component of this system runs on. */
     sim::EventQueue &eq() { return _eq; }
     ic::CciFabric &fabric() { return _fabric; }
     net::TorSwitch &tor() { return _tor; }
 
-    /** The sharded engine, or nullptr on a single-queue system. */
-    sim::ShardedEngine *engine() { return _engine.get(); }
-    unsigned shards() const { return _engine ? _engine->shards() : 1; }
-
-    /** Committed simulated time (every domain has run through it). */
-    sim::Tick now() const { return _engine ? _engine->now() : _eq.now(); }
-
-    void
-    runFor(sim::TickDelta window)
-    {
-        if (_engine)
-            _engine->runFor(window);
-        else
-            _eq.runFor(window);
-    }
-
-    void
-    runUntilTick(sim::Tick when)
-    {
-        if (_engine)
-            _engine->runUntil(when);
-        else
-            _eq.runUntil(when);
-    }
-
-    std::uint64_t
-    eventsExecuted() const
-    {
-        return _engine ? _engine->executed() : _eq.executed();
-    }
+    sim::Tick now() const { return _eq.now(); }
+    void runFor(sim::TickDelta window) { _eq.runFor(window); }
+    void runUntilTick(sim::Tick when) { _eq.runUntil(when); }
+    std::uint64_t eventsExecuted() const { return _eq.executed(); }
 
     /**
      * The system-wide metric registry.  Every component registers its
@@ -206,17 +139,11 @@ class DaggerSystem
         net::NodeId server;
     };
 
-    /** Pool/scheduler stats aggregated over every domain queue. */
-    sim::EventQueue::EngineStats engineStats() const;
-
     sim::MetricRegistry _metrics; ///< outlives everything registered in it
     ReliabilityStats _reliability;
     sim::EventQueue _eq;
     ic::CciFabric _fabric;
     net::TorSwitch _tor;
-    /** Destroyed before _tor/_fabric/_eq (reverse member order): joins
-     *  its workers and releases the shard queues they ran. */
-    std::unique_ptr<sim::ShardedEngine> _engine;
     SwCost _swCost;
     std::vector<std::unique_ptr<DaggerNode>> _nodes;
     std::vector<ConnRecord> _conns; // index = ConnId - 1

@@ -74,14 +74,6 @@ enum class Priority : std::uint32_t {
 };
 
 /**
- * Spill hook: receives admissions at/after the installed horizon (see
- * EventQueue::setSpillHorizon).  A plain function pointer plus context
- * keeps the hot schedule path free of std::function indirection.
- */
-using SpillFn = void (*)(void *ctx, Tick when, EventFn &&fn,
-                         Priority prio);
-
-/**
  * The central event queue.  One instance per simulation.
  */
 class EventQueue
@@ -164,59 +156,6 @@ class EventQueue
      * @retval true an event ran; false the queue was empty.
      */
     bool runOne();
-
-    /**
-     * Dispatch priority of the event currently being executed, as the
-     * raw integer key (see Priority).  Zero (Hardware) outside of any
-     * handler — the sharded engine stamps events scheduled from setup
-     * code as "before everything at this tick", which is where a
-     * sequential run would have placed them.
-     */
-    std::uint32_t currentPriority() const { return _curPrio; }
-
-    // -------- sharded-engine hooks (sharded_engine.hh) ---------------
-    //
-    // A shard queue executes windows of [T, T+W).  Admissions at or
-    // beyond the window end are diverted to the owning Shard through
-    // the spill hook so they can be re-admitted at the next barrier in
-    // globally stamped order; see mailbox.hh for why.  With no horizon
-    // installed (the default, and always in single-queue mode) the
-    // hook costs one always-false compare on the schedule path.
-
-    /** Divert admissions at/after @p horizon to @p fn. */
-    void
-    setSpillHorizon(Tick horizon, SpillFn fn, void *ctx)
-    {
-        _spillHorizon = horizon;
-        _spillFn = fn;
-        _spillCtx = ctx;
-    }
-
-    /** Remove the spill horizon (all admissions go to the queue). */
-    void
-    clearSpillHorizon()
-    {
-        _spillHorizon = UINT64_MAX;
-        _spillFn = nullptr;
-        _spillCtx = nullptr;
-    }
-
-    /**
-     * Run every event strictly ordered before (@p when, @p prio) —
-     * i.e. earlier ticks, plus same-tick events of stricter priority —
-     * then advance the clock to exactly @p when.  The sharded engine
-     * uses this to interleave cross-shard state applications with this
-     * queue's own events at their sequential position.
-     */
-    void runWhileBefore(Tick when, std::uint32_t prio);
-
-    /**
-     * A lower bound on the tick of the earliest pending event:
-     * bucket-exact when the wheel holds events, frame-start / heap-top
-     * granular otherwise, and never below now().  UINT64_MAX when
-     * empty.  Read-only; used for idle skip-ahead across shards.
-     */
-    Tick nextEventLowerBound() const;
 
     /**
      * Run events until simulated time reaches @p when (inclusive of
@@ -307,31 +246,12 @@ class EventQueue
     /** Earliest nonempty wheel bucket, or nullptr; advances _scanAbs. */
     std::vector<HeapEntry> *peekWheel();
 
-    /**
-     * Run the earliest event if its key is strictly before
-     * (@p limit, @p tie_bound): an earlier tick, or the same tick with
-     * a smaller packed (priority, seq) key.
-     */
-    bool stepBefore(Tick limit, std::uint64_t tie_bound);
-
     /** Run the earliest event if its tick is <= @p limit. */
-    bool
-    step(Tick limit)
-    {
-        // Every real tie key is below UINT64_MAX (priorities fit 16
-        // bits), so this bound admits all events at the limit tick.
-        return stepBefore(limit, UINT64_MAX);
-    }
+    bool step(Tick limit);
 
     Tick _now = 0;
     std::uint64_t _seq = 0;
     std::uint64_t _executed = 0;
-    std::uint32_t _curPrio = 0;
-
-    // Spill hook (sharded engine only); UINT64_MAX = no horizon.
-    Tick _spillHorizon = UINT64_MAX;
-    SpillFn _spillFn = nullptr;
-    void *_spillCtx = nullptr;
 
     // Cascading scheduler state.  The wheel (_buckets) holds only
     // events whose frame (when >> kFrameShift) equals _curFrame;

@@ -43,7 +43,7 @@ constexpr std::uint64_t kCitizens = 200'000;
 } // namespace
 
 FlightApp::FlightApp(FlightConfig cfg)
-    : _cfg(cfg), _sys(ic::IfaceKind::Upi, {}, {}, cfg.shards),
+    : _cfg(cfg), _sys(ic::IfaceKind::Upi),
       _rng(cfg.seed), _flightRng(cfg.seed ^ 0x666c69676874ull),
       _staffRng(cfg.seed ^ 0x7374616666ull)
 {
@@ -60,8 +60,7 @@ FlightApp::buildTiers()
     const bool optimized = _cfg.model == ThreadingModel::Optimized;
 
     // Tiers (server flow + downstream client flows).  Each tier owns
-    // its cores in its node's shard domain: dispatch on core 0, any
-    // worker threads on cores 1+.
+    // its cores: dispatch on core 0, any worker threads on cores 1+.
     _checkin = std::make_unique<Tier>(_sys, "checkin", 4,
                                       optimized ? 2u : 1u,
                                       nic::NicConfig{}, soft);
@@ -110,20 +109,18 @@ FlightApp::buildTiers()
         _passport->connectTo(*_citizens, nic::LbScheme::Static);
     _toCitizens = std::make_unique<app::KvsClient>(citizens_client);
 
-    // Front-ends: client-only nodes, each with its own core in its
-    // node's domain.
+    // Front-ends: client-only nodes, each with its own core.
     nic::NicConfig fe_cfg;
     fe_cfg.numFlows = 1;
     _passengerNode = &_sys.addNode(fe_cfg, soft);
-    _passengerCpus =
-        std::make_unique<rpc::CpuSet>(_passengerNode->eq(), 1);
+    _passengerCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
     _passengerClient = std::make_unique<rpc::RpcClient>(
         *_passengerNode, 0, _passengerCpus->core(0).thread(0));
     _passengerClient->setConnection(_sys.connect(
         *_passengerNode, 0, _checkin->node(), 0, nic::LbScheme::Static));
 
     _staffNode = &_sys.addNode(fe_cfg, soft);
-    _staffCpus = std::make_unique<rpc::CpuSet>(_staffNode->eq(), 1);
+    _staffCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
     _staffClient = std::make_unique<rpc::RpcClient>(
         *_staffNode, 0, _staffCpus->core(0).thread(0));
     _staffClient->setConnection(_sys.connect(
@@ -153,8 +150,7 @@ FlightApp::installHandlers()
 
     // Flight: bimodal compute, the bottleneck tier (§5.7).  The draw
     // comes from _costRng: the classic interleaved stream in
-    // closed-loop mode, the flight tier's own stream in storm mode
-    // (the handler runs in the flight shard's domain).
+    // closed-loop mode, the flight tier's own stream in storm mode.
     _flight->serverThread().registerHandler(
         kProcess, [this](const proto::RpcMessage &req) {
             rpc::HandlerOutcome out;
@@ -200,7 +196,7 @@ FlightApp::installHandlers()
                 return out;
             if (simple)
                 _passport->serverThread().pause();
-            const sim::Tick t0 = _passport->node().eq().now();
+            const sim::Tick t0 = _sys.eq().now();
             const auto conn = req.connId();
             const auto rpc_id = req.rpcId();
             const auto fn = req.fnId();
@@ -218,9 +214,8 @@ FlightApp::installHandlers()
                         TierResp resp{pid, status};
                         _passport->serverThread().respondLater(
                             conn, rpc_id, fn, &resp, sizeof(resp));
-                        _passport->tracer().record(
-                            "passport.wall",
-                            _passport->node().eq().now() - t0);
+                        _passport->tracer().record("passport.wall",
+                                                   _sys.eq().now() - t0);
                         if (simple)
                             _passport->serverThread().resume();
                     });
@@ -266,7 +261,7 @@ FlightApp::installHandlers()
             state->rpc = req.rpcId();
             state->fn = req.fnId();
             state->pid = r.passengerId;
-            state->t0 = _checkin->node().eq().now();
+            state->t0 = _sys.eq().now();
 
             auto on_part = [this, simple, state](
                                rpc::CallStatus st,
@@ -287,8 +282,7 @@ FlightApp::installHandlers()
                             state->conn, state->rpc, state->fn, &resp,
                             sizeof(resp));
                         _checkin->tracer().record(
-                            "checkin.wall",
-                            _checkin->node().eq().now() - state->t0);
+                            "checkin.wall", _sys.eq().now() - state->t0);
                         if (simple)
                             _checkin->serverThread().resume();
                     });
@@ -323,7 +317,7 @@ FlightApp::issuePassenger(sim::Tick t0)
                 ++_stormTimeouts;
                 return;
             }
-            _e2e.record(_passengerNode->eq().now() - t0);
+            _e2e.record(_sys.eq().now() - t0);
             ++_completed;
             TierResp resp{};
             if (m.payloadAs(resp) && resp.status == kDegraded)
@@ -337,34 +331,26 @@ FlightApp::issueRegistration()
     if (_sys.eq().now() >= _stopAt)
         return;
     const double mean_gap_us = 1000.0 / _krps;
-    // The generator lives in the passenger node's domain: it reads
-    // that queue's clock and self-schedules there.
-    sim::EventQueue &eq = _passengerNode->eq();
     auto fire = [this] {
-        sim::EventQueue &eq = _passengerNode->eq();
-        if (eq.now() >= _stopAt)
+        if (_sys.eq().now() >= _stopAt)
             return;
-        issuePassenger(eq.now());
+        issuePassenger(_sys.eq().now());
         issueRegistration();
     };
     // The open-loop load generator self-schedules once per request;
     // keep it on EventClosure's allocation-free inline path.
     static_assert(sim::EventClosure::fitsInline<decltype(fire)>());
-    eq.schedule(sim::usToTicks(_rng.exponential(mean_gap_us)),
-                std::move(fire));
+    _sys.eq().schedule(sim::usToTicks(_rng.exponential(mean_gap_us)),
+                       std::move(fire));
 }
 
 void
 FlightApp::run(double krps, sim::Tick duration, sim::Tick drain)
 {
     dagger_assert(krps > 0, "offered load must be positive");
-    // Closed-loop mode predates the sharded engine and keeps the
-    // classic calibration: every draw — arrival gaps, flight cost
-    // draws, staff traffic — interleaves on the one _rng stream, which
-    // is only race-free when the whole app shares a domain.  Sharded
-    // runs use runStorm(), whose streams are domain-local.
-    dagger_assert(_cfg.shards == 1,
-                  "closed-loop run() is single-shard; use runStorm()");
+    // Closed-loop mode keeps the classic calibration: every draw —
+    // arrival gaps, flight cost draws, staff traffic — interleaves on
+    // the one _rng stream.
     _krps = krps;
     _stopAt = _sys.now() + duration;
     issueRegistration();
@@ -377,9 +363,8 @@ FlightApp::startStaffDriver(sim::Rng &rng)
 {
     if (_cfg.staffReadRate <= 0)
         return;
-    // Staff front-end: background async reads of Airport records,
-    // issued from the staff node's domain (keys drawn over the
-    // citizen id space).  @p rng is the classic interleaved stream in
+    // Staff front-end: background async reads of Airport records
+    // (keys drawn over the citizen id space).  @p rng is the classic interleaved stream in
     // closed-loop mode and the staff-owned stream in storm mode.
     struct StaffDriver
     {
@@ -390,14 +375,14 @@ FlightApp::startStaffDriver(sim::Rng &rng)
         {
             FlightApp *a = app;
             sim::Rng *r = rng;
-            sim::EventQueue &eq = a->_staffNode->eq();
+            sim::EventQueue &eq = a->_sys.eq();
             if (eq.now() >= a->_stopAt)
                 return;
             const double mean_gap_us = 1e6 / a->_cfg.staffReadRate;
             eq.schedule(
                 sim::usToTicks(r->exponential(mean_gap_us)),
                 [a, r] {
-                    if (a->_staffNode->eq().now() >= a->_stopAt)
+                    if (a->_sys.eq().now() >= a->_stopAt)
                         return;
                     const std::uint64_t pid = 1 + r->range(kCitizens);
                     a->_staffKvs->get(keyFor(pid),
@@ -416,15 +401,14 @@ FlightApp::runStorm(const FlightStormSpec &spec)
 {
     dagger_assert(spec.offeredRps > 0, "offered load must be positive");
     dagger_assert(!_storm, "runStorm called twice");
-    // Storm mode is shard-safe: each draw stream lives in the domain
-    // that consumes it (flight costs in the flight shard, staff
-    // traffic in the staff shard, arrivals in the generator's).
+    // Storm mode gives each consumer its own draw stream: flight
+    // costs, staff traffic, and arrivals (the generator's).
     _costRng = &_flightRng;
     _stopAt = _sys.now() + spec.duration;
     if (spec.passengerRetry.enabled())
         _passengerClient->setRetryPolicy(spec.passengerRetry);
 
-    _storm = std::make_unique<app::OpenLoopGen>(_passengerNode->eq(),
+    _storm = std::make_unique<app::OpenLoopGen>(_sys.eq(),
                                                 _cfg.seed ^ 0x73746f726dull);
     app::TenantSpec tenant;
     tenant.name = "passengers";
@@ -438,7 +422,7 @@ FlightApp::runStorm(const FlightStormSpec &spec)
     tenant.keySpace = 1024;
     _storm->addTenant(tenant);
     _storm->start(_stopAt, [this](const app::OpenLoopCall &) {
-        issuePassenger(_passengerNode->eq().now());
+        issuePassenger(_sys.eq().now());
     });
     startStaffDriver(_staffRng);
 

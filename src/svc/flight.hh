@@ -14,12 +14,9 @@
  * threading model to a few Krps while leaving the low-load median
  * latency in the tens of microseconds — the Table 4 contrast.
  *
- * Every tier owns its CPU set and RNG stream in its own node's shard
- * domain, so the deployment runs byte-identically on the sharded
- * parallel engine (FlightConfig::shards) — which is what lets
- * runStorm() drive million-client open-loop load (app::OpenLoopGen)
- * against per-tier timeout budgets, shedding, and degraded-mode
- * fan-out.
+ * Every tier owns its CPU set; runStorm() drives million-client
+ * open-loop load (app::OpenLoopGen) against per-tier timeout budgets,
+ * shedding, and degraded-mode fan-out.
  */
 
 #ifndef DAGGER_SVC_FLIGHT_HH
@@ -43,9 +40,6 @@ namespace dagger::svc {
 struct FlightConfig
 {
     ThreadingModel model = ThreadingModel::Simple;
-
-    /** Event-engine shards (1 = classic single-queue engine). */
-    unsigned shards = 1;
 
     /** Worker threads for the Flight service in the Optimized model. */
     unsigned flightWorkers = 16;
@@ -143,8 +137,8 @@ class FlightApp
 
     /**
      * Per-tier service-time tracing (§5.7 bottleneck analysis).
-     * Tiers record into their own shard-local tracers; this merges
-     * them into one aggregate view (rebuild on each call).
+     * Tiers record into their own tracers; this merges them into one
+     * aggregate view (rebuild on each call).
      */
     Tracer &tracer();
 
@@ -165,19 +159,18 @@ class FlightApp
     FlightConfig _cfg;
     rpc::DaggerSystem _sys;
     /** Classic stream: closed-loop run() interleaves arrival gaps,
-     *  flight cost draws, and staff traffic on it (single-shard). */
+     *  flight cost draws, and staff traffic on it. */
     sim::Rng _rng;
-    /** Storm-mode flight-tier stream: the bimodal handler draw runs
-     *  in the flight shard's domain. */
+    /** Storm-mode flight-tier stream: the bimodal handler draw. */
     sim::Rng _flightRng;
-    /** Storm-mode staff-domain stream: read gaps and key picks. */
+    /** Storm-mode staff stream: read gaps and key picks. */
     sim::Rng _staffRng;
     /** Which stream the flight handler draws costs from; runStorm()
      *  repoints it at _flightRng before traffic. */
     sim::Rng *_costRng = &_rng;
     Tracer _tracer; ///< merged view, rebuilt by tracer()
 
-    // Tiers (Fig. 13); each owns its cores in its shard domain.
+    // Tiers (Fig. 13); each owns its cores.
     std::unique_ptr<Tier> _checkin;
     std::unique_ptr<Tier> _flight;
     std::unique_ptr<Tier> _baggage;

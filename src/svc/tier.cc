@@ -25,9 +25,7 @@ Tier::Tier(rpc::DaggerSystem &sys, std::string name, unsigned downstreams,
     dagger_assert(cores > 0, "tier '", _name, "' needs at least one core");
     cfg.numFlows = 1 + downstreams;
     _node = &sys.addNode(cfg, soft);
-    // The CpuSet is created *after* the node so its threads schedule
-    // on the node's shard queue, not the system-wide one.
-    _ownCpus = std::make_unique<rpc::CpuSet>(_node->eq(), cores);
+    _ownCpus = std::make_unique<rpc::CpuSet>(sys.eq(), cores);
     _dispatch = &_ownCpus->core(0).thread(0);
     _server = std::make_unique<rpc::RpcThreadedServer>(*_node);
     _server->addThread(0, *_dispatch);

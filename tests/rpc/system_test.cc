@@ -169,61 +169,6 @@ TEST(DaggerSystem, CompletionContinuationFires)
     EXPECT_EQ(rig.client->completions().size(), 0u); // consumed
 }
 
-/** One full-stack echo pass at a given shard count. */
-struct ShardedRun
-{
-    std::uint64_t done = 0;
-    sim::Tick now = 0;
-    std::uint64_t events = 0;
-};
-
-ShardedRun
-runEchoAt(unsigned shards, unsigned calls)
-{
-    DaggerSystem sys(ic::IfaceKind::Upi, {}, {}, shards);
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
-    DaggerNode &cnode = sys.addNode(cfg);
-    DaggerNode &snode = sys.addNode(cfg);
-    // One core per side, each on its node's domain queue.
-    CpuSet ccpus(cnode.eq(), 1);
-    CpuSet scpus(snode.eq(), 1);
-    RpcClient client(cnode, 0, ccpus.core(0).thread(0));
-    RpcThreadedServer server(snode);
-    server.addThread(0, scpus.core(0).thread(0));
-    server.registerHandler(1, [](const proto::RpcMessage &req) {
-        HandlerOutcome out;
-        out.response = req.payload();
-        out.cost = sim::nsToTicks(20);
-        return out;
-    });
-    client.setConnection(sys.connect(cnode, 0, snode, 0));
-    ShardedRun r;
-    for (unsigned i = 0; i < calls; ++i) {
-        std::uint64_t v = i;
-        client.callPod(1, v,
-                       [&r](const proto::RpcMessage &) { ++r.done; });
-    }
-    sys.runFor(sim::msToTicks(2));
-    r.now = sys.now();
-    r.events = sys.eventsExecuted();
-    return r;
-}
-
-TEST(DaggerSystem, ShardedRunMatchesSingleQueue)
-{
-    // The whole-stack equivalence behind the figure byte-compares:
-    // client and server land on different node domains at shards 4
-    // (nodes round-robin over shards 1..3), yet every simulated
-    // quantity must match the single-queue run exactly.
-    const ShardedRun s1 = runEchoAt(1, 64);
-    EXPECT_EQ(s1.done, 64u);
-    const ShardedRun s4 = runEchoAt(4, 64);
-    EXPECT_EQ(s4.done, s1.done);
-    EXPECT_EQ(s4.events, s1.events);
-    EXPECT_EQ(s4.now, s1.now);
-}
-
 TEST(DaggerSystemDeath, DisconnectUnknownConnection)
 {
     SysRig rig;
