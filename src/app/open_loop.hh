@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "app/workload.hh"
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/time.hh"

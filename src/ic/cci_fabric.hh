@@ -19,7 +19,6 @@
 
 #include "ic/channel.hh"
 #include "ic/cost_model.hh"
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/reuse.hh"

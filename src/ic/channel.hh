@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/reuse.hh"
 #include "sim/time.hh"

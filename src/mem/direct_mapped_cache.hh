@@ -112,29 +112,18 @@ class DirectMappedCache
             : static_cast<double>(_hits) / static_cast<double>(total);
     }
 
-    /**
-     * Register this cache's statistics under @p scope.  The hit rate's
-     * text visibility/label is caller-controlled (the legacy reports
-     * print it under cache-specific names); raw counts are JSON-only.
-     */
+    /** Register this cache's statistics under @p scope. */
     void
-    registerMetrics(sim::MetricScope scope,
-                    sim::MetricText hit_rate_text = sim::MetricText::Hide,
-                    std::string hit_rate_label = {}) const
+    registerMetrics(sim::MetricScope scope) const
     {
-        scope.gauge("hit_rate", [this] { return hitRate(); },
-                    hit_rate_text, std::move(hit_rate_label));
-        scope.intGauge("hits", [this] { return _hits; },
-                       sim::MetricText::Hide);
-        scope.intGauge("misses", [this] { return _misses; },
-                       sim::MetricText::Hide);
-        scope.intGauge("evictions", [this] { return _evictions; },
-                       sim::MetricText::Hide);
+        scope.gauge("hit_rate", [this] { return hitRate(); });
+        scope.intGauge("hits", [this] { return _hits; });
+        scope.intGauge("misses", [this] { return _misses; });
+        scope.intGauge("evictions", [this] { return _evictions; });
         scope.intGauge("occupancy",
                        [this] {
                            return static_cast<std::uint64_t>(occupancy());
-                       },
-                       sim::MetricText::Hide);
+                       });
     }
 
   private:

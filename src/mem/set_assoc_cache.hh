@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/metrics.hh"
 
 namespace dagger::mem {
 
@@ -94,22 +93,6 @@ class SetAssocLruCache
         return total == 0
             ? 0.0
             : static_cast<double>(_hits) / static_cast<double>(total);
-    }
-
-    /** Register this cache's statistics under @p scope. */
-    void
-    registerMetrics(sim::MetricScope scope,
-                    sim::MetricText hit_rate_text = sim::MetricText::Hide,
-                    std::string hit_rate_label = {}) const
-    {
-        scope.gauge("hit_rate", [this] { return hitRate(); },
-                    hit_rate_text, std::move(hit_rate_label));
-        scope.intGauge("hits", [this] { return _hits; },
-                       sim::MetricText::Hide);
-        scope.intGauge("misses", [this] { return _misses; },
-                       sim::MetricText::Hide);
-        scope.intGauge("evictions", [this] { return _evictions; },
-                       sim::MetricText::Hide);
     }
 
   private:

@@ -38,8 +38,7 @@ FaultInjector::registerMetrics(sim::MetricScope scope)
 {
     const auto gauge = [&](const char *name,
                            std::uint64_t PortState::*field) {
-        scope.intGauge(name, [this, field] { return sum(field); },
-                       sim::MetricText::Hide);
+        scope.intGauge(name, [this, field] { return sum(field); });
     };
     gauge("seen", &PortState::seen);
     gauge("delivered", &PortState::delivered);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/reuse.hh"
@@ -132,10 +131,8 @@ class TorSwitch
     void
     registerMetrics(sim::MetricScope scope)
     {
-        scope.intGauge("forwarded", [this] { return forwarded(); },
-                       sim::MetricText::Show, "tor_forwarded");
-        scope.intGauge("dropped", [this] { return dropped(); },
-                       sim::MetricText::Show, "tor_dropped");
+        scope.intGauge("forwarded", [this] { return forwarded(); });
+        scope.intGauge("dropped", [this] { return dropped(); });
     }
 
   private:

@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "nic/pipeline.hh"
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 

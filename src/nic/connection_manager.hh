@@ -22,7 +22,6 @@
 #include "net/tor_switch.hh"
 #include "nic/config.hh"
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/metrics.hh"
 #include "sim/time.hh"
 
@@ -97,7 +96,7 @@ class ConnectionManager
         return _readerAccesses;
     }
 
-    /** Register CM statistics; only the hit rate is text-visible. */
+    /** Register CM statistics under @p scope. */
     void
     registerMetrics(sim::MetricScope scope) const
     {
@@ -108,35 +107,25 @@ class ConnectionManager
                             ? 0.0
                             : static_cast<double>(_hits) /
                                   static_cast<double>(total);
-                    },
-                    sim::MetricText::Show, "conn_cache_hit_rate");
-        scope.intGauge("hits", [this] { return _hits; },
-                       sim::MetricText::Hide);
-        scope.intGauge("misses", [this] { return _misses; },
-                       sim::MetricText::Hide);
-        scope.intGauge("evictions", [this] { return _evictions; },
-                       sim::MetricText::Hide);
+                    });
+        scope.intGauge("hits", [this] { return _hits; });
+        scope.intGauge("misses", [this] { return _misses; });
+        scope.intGauge("evictions", [this] { return _evictions; });
         scope.intGauge("cached",
                        [this] {
                            return static_cast<std::uint64_t>(
                                cachedConnections());
-                       },
-                       sim::MetricText::Hide);
+                       });
         scope.intGauge("backing",
                        [this] {
                            return static_cast<std::uint64_t>(
                                _backing.size());
-                       },
-                       sim::MetricText::Hide);
+                       });
         scope.intGauge("reads_outgoing",
-                       [this] { return _readerAccesses[0]; },
-                       sim::MetricText::Hide);
+                       [this] { return _readerAccesses[0]; });
         scope.intGauge("reads_incoming",
-                       [this] { return _readerAccesses[1]; },
-                       sim::MetricText::Hide);
-        scope.intGauge("reads_manager",
-                       [this] { return _readerAccesses[2]; },
-                       sim::MetricText::Hide);
+                       [this] { return _readerAccesses[1]; });
+        scope.intGauge("reads_manager", [this] { return _readerAccesses[2]; });
     }
 
   private:

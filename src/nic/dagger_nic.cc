@@ -1,6 +1,5 @@
 #include "nic/dagger_nic.hh"
 
-#include "sim/check.hh"
 #include "sim/logging.hh"
 
 namespace dagger::nic {
@@ -164,9 +163,9 @@ DaggerNic::issueFetch(unsigned flow, std::size_t frames)
     // The RX FSM pipelines asynchronous reads but maybeFetch() stops
     // issuing at the per-flow credit limit; exceeding it means a
     // completion was lost or double-counted.
-    DAGGER_INVARIANT(fs.outstandingFetches <= kMaxFlowFetches,
-                     "flow ", flow, " exceeded its fetch credit window: ",
-                     fs.outstandingFetches, " > ", kMaxFlowFetches);
+    dagger_assert(fs.outstandingFetches <= kMaxFlowFetches,
+                  "flow ", flow, " exceeded its fetch credit window: ",
+                  fs.outstandingFetches, " > ", kMaxFlowFetches);
     _fetchesInWindow += frames; // request rate, not transaction rate
     _monitor.framesFetched.inc(frames);
     _monitor.fetchBatch.record(frames);
@@ -305,7 +304,7 @@ DaggerNic::steerMessage(net::Packet pkt)
                                     proto::PayloadBuf());
         flow = pickFlow(hdr, *tuple);
     }
-    DAGGER_DCHECK(flow < _flows.size(),
+    dagger_assert(flow < _flows.size(),
                   "load balancer steered to nonexistent flow ", flow);
     FlowState &fs = _flows[flow];
     if (!fs.rx) {

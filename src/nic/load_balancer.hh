@@ -20,7 +20,6 @@
 #include "nic/config.hh"
 #include "nic/connection_manager.hh"
 #include "proto/wire.hh"
-#include "sim/check.hh"
 
 namespace dagger::nic {
 

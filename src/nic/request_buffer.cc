@@ -1,6 +1,6 @@
 #include "nic/request_buffer.hh"
 
-#include "sim/check.hh"
+#include "sim/logging.hh"
 
 namespace dagger::nic {
 
@@ -24,7 +24,7 @@ RequestBuffer::push(unsigned flow, proto::Frame frame)
         return std::nullopt;
     }
     const SlotId slot = _freeFifo.take();
-    DAGGER_DCHECK(slot < _table.size(),
+    dagger_assert(slot < _table.size(),
                   "free FIFO handed out slot ", slot, " beyond table size ",
                   _table.size());
     _table[slot] = std::move(frame);
@@ -55,9 +55,9 @@ RequestBuffer::pop(unsigned flow, std::size_t n,
     // Slots are conserved: every entry is either free or queued in
     // exactly one flow FIFO, so the free FIFO can never outgrow the
     // table (a double-release would trip this first).
-    DAGGER_INVARIANT(_freeFifo.size() <= _table.size(),
-                     "free FIFO (", _freeFifo.size(),
-                     ") outgrew the request table (", _table.size(), ")");
+    dagger_assert(_freeFifo.size() <= _table.size(),
+                  "free FIFO (", _freeFifo.size(),
+                  ") outgrew the request table (", _table.size(), ")");
     return take;
 }
 

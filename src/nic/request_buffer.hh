@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/reuse.hh"
@@ -70,16 +69,13 @@ class RequestBuffer
     void
     registerMetrics(sim::MetricScope scope) const
     {
-        scope.intGauge("pushes", [this] { return _pushes; },
-                       sim::MetricText::Hide);
-        scope.intGauge("rejections", [this] { return _rejections; },
-                       sim::MetricText::Hide);
+        scope.intGauge("pushes", [this] { return _pushes; });
+        scope.intGauge("rejections", [this] { return _rejections; });
         scope.intGauge("free_slots",
                        [this] {
                            return static_cast<std::uint64_t>(
                                _freeFifo.size());
-                       },
-                       sim::MetricText::Hide);
+                       });
     }
 
   private:

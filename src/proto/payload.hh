@@ -21,16 +21,15 @@
  *
  * Real byte copies happen only at the API edges (message construction,
  * payloadAs() delivery) and in FaultInjector::corrupt's copy-on-write;
- * the global counters below make that auditable: bytes_copied must stay
- * O(payload) per RPC no matter how many hops the frames take, while
- * handle_passes grows with hop count.
+ * the per-thread counters below make that auditable: bytes_copied must
+ * stay O(payload) per RPC no matter how many hops the frames take,
+ * while handle_passes grows with hop count.
  */
 
 #ifndef DAGGER_PROTO_PAYLOAD_HH
 #define DAGGER_PROTO_PAYLOAD_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -59,45 +58,25 @@ constexpr std::size_t kMaxPayloadBytes = 0xffff;
 
 namespace detail {
 /**
- * Per-thread data-path copy accounting.  A handle pass happens for
- * every frame of every hop, so the increment must not cost a
- * lock-prefixed RMW; each thread owns a cell and bumps it with
- * single-writer load+store (plain MOVs on x86), while payloadStats()
- * sums the cells with atomic loads (race-free under TSan).
+ * This thread's data-path copy accounting.  A simulated system runs on
+ * one thread, so plain per-thread counters are exact: a system's
+ * numbers never include copies made by another thread (another
+ * --jobs scenario, say).  A handle pass happens for every frame of
+ * every hop, so the increment is a plain add.
  */
-struct PayloadCounterCell
-{
-    std::atomic<std::uint64_t> bytesCopied{0};
-    std::atomic<std::uint64_t> handlePasses{0};
-};
-
-/** Create and register a fresh cell owned by the global registry. */
-PayloadCounterCell &registerPayloadCounterCell();
-
-/** This thread's cell (registered on first use, kept past exit). */
-inline PayloadCounterCell &
-payloadCounterCell()
-{
-    // Cache the raw pointer per thread so the increment below inlines
-    // to a guard check plus two MOVs — no call on the data path.
-    thread_local PayloadCounterCell *cell = &registerPayloadCounterCell();
-    return *cell;
-}
+inline thread_local std::uint64_t bytesCopied = 0;
+inline thread_local std::uint64_t handlePasses = 0;
 
 inline void
 addBytesCopied(std::uint64_t n)
 {
-    auto &c = payloadCounterCell().bytesCopied;
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
+    bytesCopied += n;
 }
 
 inline void
 addHandlePass()
 {
-    auto &c = payloadCounterCell().handlePasses;
-    c.store(c.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
+    ++handlePasses;
 }
 } // namespace detail
 
@@ -108,8 +87,15 @@ struct PayloadStats
     std::uint64_t handlePasses = 0; ///< buffer handles copied instead
 };
 
-/** Read the process-wide counters (monotonic; diff two snapshots). */
-PayloadStats payloadStats();
+/**
+ * Read the calling thread's counters (monotonic since the thread
+ * started; diff two snapshots).
+ */
+inline PayloadStats
+payloadStats()
+{
+    return {detail::bytesCopied, detail::handlePasses};
+}
 
 /**
  * Immutable refcounted flat payload buffer with small-buffer-optimized

@@ -22,7 +22,6 @@
 #include "rpc/completion_queue.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
-#include "sim/check.hh"
 #include "sim/reuse.hh"
 #include "sim/stats.hh"
 

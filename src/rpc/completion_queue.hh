@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "proto/wire.hh"
-#include "sim/check.hh"
 
 namespace dagger::rpc {
 

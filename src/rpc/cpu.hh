@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 

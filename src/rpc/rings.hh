@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/reuse.hh"
@@ -76,10 +75,10 @@ class TxRing
         // Occupancy is the wrap-math ground truth: entries written but
         // not yet released never exceed the ring, and frames the NIC
         // has not claimed yet are a subset of the occupied ones.
-        DAGGER_INVARIANT(_used <= _capacity,
-                         "TX ring over-filled: used=", _used,
-                         " capacity=", _capacity);
-        DAGGER_DCHECK(_pending.size() + n <= _used,
+        dagger_assert(_used <= _capacity,
+                      "TX ring over-filled: used=", _used,
+                      " capacity=", _capacity);
+        dagger_assert(_pending.size() + n <= _used,
                       "TX ring pending frames exceed occupancy");
         for (std::size_t i = 0; i < n; ++i)
             msg.writeFrame(i, _pending.pushSlot());
@@ -100,7 +99,7 @@ class TxRing
         for (std::size_t i = 0; i < take; ++i)
             out.push_back(_pending.take());
         _poppedFrames += take;
-        DAGGER_DCHECK(_poppedFrames <= _pushedFrames,
+        dagger_assert(_poppedFrames <= _pushedFrames,
                       "TX ring popped more frames than were pushed");
         return take;
     }
@@ -178,9 +177,9 @@ class RxRing
             _frames.push_back(std::move(f));
             ++accepted;
         }
-        DAGGER_INVARIANT(_frames.size() <= _capacity,
-                         "RX ring over-filled: occupied=", _frames.size(),
-                         " capacity=", _capacity);
+        dagger_assert(_frames.size() <= _capacity,
+                      "RX ring over-filled: occupied=", _frames.size(),
+                      " capacity=", _capacity);
         _deliveredFrames += accepted;
         if (_notify && accepted > 0)
             _notify();
@@ -231,40 +230,27 @@ struct FlowRings
     TxRing tx;
     RxRing rx;
 
-    /**
-     * Register ring-health statistics.  Only the RX drop count is
-     * text-visible, under the caller-supplied legacy label
-     * ("flow<N>_rx_drops").
-     */
+    /** Register ring-health statistics under @p scope. */
     void
-    registerMetrics(sim::MetricScope scope,
-                    std::string rx_drops_label) const
+    registerMetrics(sim::MetricScope scope) const
     {
-        scope.intGauge("rx.drops", [this] { return rx.drops(); },
-                       sim::MetricText::Show, std::move(rx_drops_label));
+        scope.intGauge("rx.drops", [this] { return rx.drops(); });
         scope.intGauge("rx.delivered_frames",
-                       [this] { return rx.deliveredFrames(); },
-                       sim::MetricText::Hide);
-        scope.intGauge("rx.malformed", [this] { return rx.malformed(); },
-                       sim::MetricText::Hide);
+                       [this] { return rx.deliveredFrames(); });
+        scope.intGauge("rx.malformed", [this] { return rx.malformed(); });
         scope.intGauge("rx.occupied",
                        [this] {
                            return static_cast<std::uint64_t>(rx.occupied());
-                       },
-                       sim::MetricText::Hide);
+                       });
         scope.intGauge("tx.pushed_frames",
-                       [this] { return tx.pushedFrames(); },
-                       sim::MetricText::Hide);
+                       [this] { return tx.pushedFrames(); });
         scope.intGauge("tx.popped_frames",
-                       [this] { return tx.poppedFrames(); },
-                       sim::MetricText::Hide);
-        scope.intGauge("tx.blocked", [this] { return tx.blocked(); },
-                       sim::MetricText::Hide);
+                       [this] { return tx.poppedFrames(); });
+        scope.intGauge("tx.blocked", [this] { return tx.blocked(); });
         scope.intGauge("tx.used",
                        [this] {
                            return static_cast<std::uint64_t>(tx.used());
-                       },
-                       sim::MetricText::Hide);
+                       });
     }
 };
 

@@ -27,7 +27,6 @@
 #include "proto/wire.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
-#include "sim/check.hh"
 #include "sim/reuse.hh"
 #include "sim/stats.hh"
 

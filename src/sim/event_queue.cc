@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/check.hh"
+#include "sim/logging.hh"
 
 // Cache-warming hint; correctness never depends on it.
 #if defined(__GNUC__)
@@ -74,10 +74,10 @@ EventQueue::scheduleAt(Tick when, EventFn &&fn, Priority prio)
     // The insertion sequence is the deterministic tie-break key for
     // same-(tick, priority) events; exhausting the packed field would
     // scramble replay order between two otherwise-identical runs.
-    DAGGER_INVARIANT(_seq < (std::uint64_t{1} << kSeqBits),
-                     "event sequence counter exhausted; tie-break keys "
-                     "would wrap and break deterministic ordering");
-    DAGGER_DCHECK(static_cast<std::uint32_t>(prio) <= 0xFFFF,
+    dagger_assert(_seq < (std::uint64_t{1} << kSeqBits),
+                  "event sequence counter exhausted; tie-break keys "
+                  "would wrap and break deterministic ordering");
+    dagger_assert(static_cast<std::uint32_t>(prio) <= 0xFFFF,
                   "priority does not fit the packed tie-break key");
     Event *ev = allocEvent();
     // Switch the union's active member from free-list link to closure,
@@ -93,7 +93,7 @@ EventQueue::scheduleAt(Tick when, EventFn &&fn, Priority prio)
     // Frame index alone decides the level.  refill() guarantees that
     // _curFrame never runs ahead of frame(_now), and when >= _now, so
     // the admitted frame is never below the current one.
-    DAGGER_DCHECK(frame >= _curFrame,
+    dagger_assert(frame >= _curFrame,
                   "admission into a frame below the current one");
     if (frame == _curFrame) {
         admitWheel(entry);
@@ -161,9 +161,9 @@ EventQueue::refill(Tick limit)
                     break;
                 }
             }
-            DAGGER_INVARIANT(target != UINT64_MAX,
-                             "frame count ", _frameCount,
-                             " but no parked frame found");
+            dagger_assert(target != UINT64_MAX,
+                          "frame count ", _frameCount,
+                          " but no parked frame found");
         }
         if (!_far.empty())
             target = std::min(target, _far.front().when >> kFrameShift);
@@ -215,9 +215,9 @@ EventQueue::peekWheel()
             return &bucket;
         }
         ++abs;
-        DAGGER_INVARIANT(abs - start <= kWheelBuckets,
-                         "timing-wheel scan overran the horizon with ",
-                         _wheelCount, " events pending");
+        dagger_assert(abs - start <= kWheelBuckets,
+                      "timing-wheel scan overran the horizon with ",
+                      _wheelCount, " events pending");
     }
 }
 
@@ -243,9 +243,9 @@ EventQueue::step(Tick limit)
     bucket->pop_back();
     --_wheelCount;
 
-    DAGGER_INVARIANT(when >= _now,
-                     "simulated time moved backwards: event at ", when,
-                     " popped with now=", _now);
+    dagger_assert(when >= _now,
+                  "simulated time moved backwards: event at ", when,
+                  " popped with now=", _now);
     _now = when;
     ++_executed;
     // Release the slot before invoking so a callback that immediately

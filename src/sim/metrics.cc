@@ -8,99 +8,43 @@
 
 namespace dagger::sim {
 
-namespace {
-
-/** The legacy report pads every label to this column before the value. */
-constexpr std::size_t kLabelColumn = 28;
-
-void
-textLine(std::ostringstream &os, const std::string &label,
-         const std::string &value)
-{
-    os << "  " << label;
-    for (std::size_t i = label.size(); i < kLabelColumn; ++i)
-        os << ' ';
-    os << value << "\n";
-}
-
-std::string
-formatGauge(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.4f", v);
-    return buf;
-}
-
-std::string
-leafOf(const std::string &name)
-{
-    const auto dot = name.rfind('.');
-    return dot == std::string::npos ? name : name.substr(dot + 1);
-}
-
-} // namespace
-
 MetricRegistry::Entry &
-MetricRegistry::add(Kind kind, std::string name, MetricText text,
-                    std::string label)
+MetricRegistry::add(Kind kind, std::string name)
 {
     dagger_assert(!name.empty(), "metric needs a name");
     dagger_assert(!has(name), "duplicate metric name '", name, "'");
     Entry e;
     e.kind = kind;
-    e.label = label.empty() ? leafOf(name) : std::move(label);
     e.name = std::move(name);
-    e.text = text;
     _entries.push_back(std::move(e));
     return _entries.back();
 }
 
 void
-MetricRegistry::addCounter(std::string name, const Counter &c,
-                           MetricText text, std::string label)
+MetricRegistry::addCounter(std::string name, const Counter &c)
 {
-    add(Kind::Counter, std::move(name), text, std::move(label)).counter = &c;
+    add(Kind::Counter, std::move(name)).counter = &c;
 }
 
 void
-MetricRegistry::addHistogram(std::string name, const Histogram &h,
-                             MetricText text, std::string label)
+MetricRegistry::addHistogram(std::string name, const Histogram &h)
 {
-    add(Kind::Histogram, std::move(name), text, std::move(label))
-        .histogram = &h;
+    add(Kind::Histogram, std::move(name)).histogram = &h;
 }
 
 void
 MetricRegistry::addIntGauge(std::string name,
-                            std::function<std::uint64_t()> fn,
-                            MetricText text, std::string label)
+                            std::function<std::uint64_t()> fn)
 {
     dagger_assert(fn, "int gauge needs a callback");
-    add(Kind::IntGauge, std::move(name), text, std::move(label))
-        .intGauge = std::move(fn);
+    add(Kind::IntGauge, std::move(name)).intGauge = std::move(fn);
 }
 
 void
-MetricRegistry::addGauge(std::string name, std::function<double()> fn,
-                         MetricText text, std::string label)
+MetricRegistry::addGauge(std::string name, std::function<double()> fn)
 {
     dagger_assert(fn, "gauge needs a callback");
-    add(Kind::Gauge, std::move(name), text, std::move(label))
-        .gauge = std::move(fn);
-}
-
-void
-MetricRegistry::addSection(std::string name, std::string title)
-{
-    // Sections are scope markers, not values; several sections may
-    // share a name-less root, so only non-empty names are checked.
-    if (!name.empty())
-        dagger_assert(!has(name), "duplicate metric name '", name, "'");
-    Entry e;
-    e.kind = Kind::Section;
-    e.name = std::move(name);
-    e.title = std::move(title);
-    _entries.push_back(std::move(e));
+    add(Kind::Gauge, std::move(name)).gauge = std::move(fn);
 }
 
 bool
@@ -112,100 +56,41 @@ MetricRegistry::has(std::string_view name) const
     return false;
 }
 
-bool
-MetricRegistry::inScope(std::string_view name, std::string_view scope)
-{
-    if (scope.empty())
-        return true;
-    if (name.size() < scope.size() || name.substr(0, scope.size()) != scope)
-        return false;
-    return name.size() == scope.size() || name[scope.size()] == '.';
-}
-
-void
-MetricRegistry::forEach(const std::function<void(const Entry &)> &fn,
-                        std::string_view scope) const
-{
-    for (const Entry &e : _entries)
-        if (inScope(e.name, scope))
-            fn(e);
-}
-
 std::string
-MetricRegistry::renderText(std::string_view scope) const
-{
-    std::ostringstream os;
-    forEach(
-        [&os](const Entry &e) {
-            if (e.kind == Kind::Section) {
-                os << e.title << "\n";
-                return;
-            }
-            if (e.text != MetricText::Show)
-                return;
-            switch (e.kind) {
-              case Kind::Counter:
-                textLine(os, e.label, std::to_string(e.counter->value()));
-                break;
-              case Kind::IntGauge:
-                textLine(os, e.label, std::to_string(e.intGauge()));
-                break;
-              case Kind::Gauge:
-                textLine(os, e.label, formatGauge(e.gauge()));
-                break;
-              case Kind::Histogram:
-                // The legacy reports print one representative
-                // percentile per histogram.
-                textLine(os, e.label + "_p50",
-                         std::to_string(e.histogram->percentile(50)));
-                break;
-              case Kind::Section:
-                break;
-            }
-        },
-        scope);
-    return os.str();
-}
-
-std::string
-MetricRegistry::renderJson(std::string_view scope) const
+MetricRegistry::renderJson() const
 {
     std::ostringstream os;
     os << "{";
     bool first = true;
-    forEach(
-        [&](const Entry &e) {
-            if (e.kind == Kind::Section)
-                return;
-            if (!first)
-                os << ",";
-            first = false;
-            os << "\n  \"" << jsonEscape(e.name) << "\": ";
-            switch (e.kind) {
-              case Kind::Counter:
-                os << e.counter->value();
-                break;
-              case Kind::IntGauge:
-                os << e.intGauge();
-                break;
-              case Kind::Gauge:
-                os << jsonNumber(e.gauge());
-                break;
-              case Kind::Histogram: {
-                const Histogram &h = *e.histogram;
-                os << "{\"count\": " << h.count() << ", \"min\": "
-                   << h.min() << ", \"max\": " << h.max()
-                   << ", \"mean\": " << jsonNumber(h.mean())
-                   << ", \"p50\": " << h.percentile(50)
-                   << ", \"p90\": " << h.percentile(90)
-                   << ", \"p99\": " << h.percentile(99) << "}";
-                break;
-              }
-              case Kind::Section:
-                break;
-            }
-        },
-        scope);
+    for (const Entry &e : _entries) {
+        if (!first)
+            os << ",";
+        first = false;
+        os << "\n  \"" << jsonEscape(e.name) << "\": ";
+        switch (e.kind) {
+          case Kind::Counter:
+            os << e.counter->value();
+            break;
+          case Kind::IntGauge:
+            os << e.intGauge();
+            break;
+          case Kind::Gauge:
+            os << jsonNumber(e.gauge());
+            break;
+          case Kind::Histogram: {
+            const Histogram &h = *e.histogram;
+            os << "{\"count\": " << h.count() << ", \"min\": " << h.min()
+               << ", \"max\": " << h.max()
+               << ", \"mean\": " << jsonNumber(h.mean())
+               << ", \"p50\": " << h.percentile(50)
+               << ", \"p90\": " << h.percentile(90)
+               << ", \"p99\": " << h.percentile(99) << "}";
+            break;
+          }
+          case Kind::Section:
+            break;
+        }
+    }
     os << "\n}\n";
     return os.str();
 }

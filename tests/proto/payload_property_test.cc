@@ -4,7 +4,8 @@
  * proto::PayloadView):
  *
  *  - inline <-> heap storage boundary at kFramePayload (48 B)
- *  - handle-pass vs byte-copy accounting across the boundary
+ *  - handle-pass vs byte-copy accounting across the boundary, counted
+ *    per thread
  *  - frame checksums over views byte-equal to the owned-array oracle
  *    (the pre-refactor Frame kept a private 48 B payload array)
  *  - buffer lifetime under out-of-order Reassembler completion
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "proto/wire.hh"
@@ -78,6 +80,26 @@ TEST(PayloadBuf, ConstructionCountsBytesOnce)
     PayloadBuf buf(bytes.data(), bytes.size());
     const PayloadStats after = payloadStats();
     EXPECT_EQ(after.bytesCopied, before.bytesCopied + 300);
+}
+
+TEST(PayloadBuf, CopyCountersArePerThread)
+{
+    // Under --jobs N each scenario runs on its own worker thread, so a
+    // system's sim.payload.* gauges must not count another thread's
+    // copies.
+    const auto bytes = patternBytes(300);
+    const PayloadStats before = payloadStats();
+    std::uint64_t workerDelta = 0;
+    std::thread worker([&] {
+        const PayloadStats start = payloadStats();
+        PayloadBuf buf(bytes.data(), bytes.size());
+        workerDelta = payloadStats().bytesCopied - start.bytesCopied;
+    });
+    worker.join();
+    const PayloadStats after = payloadStats();
+    EXPECT_EQ(workerDelta, 300u);
+    EXPECT_EQ(after.bytesCopied, before.bytesCopied);
+    EXPECT_EQ(after.handlePasses, before.handlePasses);
 }
 
 /**

@@ -7,7 +7,7 @@
  * how many frames the message spans or how many hops the frames take.
  * Handle passes, by contrast, scale with the hop/frame count.
  *
- * The proto::payloadStats() counters are process-global and monotonic;
+ * The proto::payloadStats() counters are per-thread and monotonic;
  * every measurement below is a delta across one run.
  */
 
