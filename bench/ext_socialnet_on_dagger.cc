@@ -187,7 +187,7 @@ class SnOverDagger
     std::array<std::unique_ptr<RpcClient>, 4> _feClients;
     RpcClient *_textToUm;
     RpcClient *_textToUrl;
-    sim::Histogram _e2e{"sn_dagger_e2e"};
+    sim::Histogram _e2e;
     double _qps = 0;
     sim::Tick _stopAt = 0;
 };

@@ -272,35 +272,6 @@ shapeCheck(const char *what, bool ok)
 }
 
 /**
- * Host wall-clock stopwatch for engine self-benchmarks.
- *
- * Wall time is only legal inside bench/harness.hh (the no-wallclock
- * lint rule keeps host time out of simulated quantities), so perf
- * benches that need to report events/sec measure through this timer
- * instead of calling steady_clock themselves.
- */
-class WallTimer
-{
-  public:
-    WallTimer() : _start(std::chrono::steady_clock::now()) {} // dagger-lint: allow(no-wallclock)
-
-    /** Seconds of host time since construction (or the last reset()). */
-    double
-    seconds() const
-    {
-        return std::chrono::duration<double>(
-                   // dagger-lint: allow(no-wallclock)
-                   std::chrono::steady_clock::now() - _start)
-            .count();
-    }
-
-    void reset() { *this = WallTimer(); }
-
-  private:
-    std::chrono::steady_clock::time_point _start; // dagger-lint: allow(no-wallclock)
-};
-
-/**
  * Parallel scenario runner.
  *
  * Takes a vector of independent scenario closures — each builds and
@@ -447,20 +418,18 @@ class BenchContext
             } else if (a == "--strict") {
                 _strict = true;
             } else if (a == "--help" || a == "-h") {
-                std::printf(
-                    "usage: %s [--jobs N] [--json [PATH]] "
-                    "[--strict]\n"
-                    "  --jobs N      scenario worker threads (default: "
-                    "DAGGER_BENCH_JOBS or hardware threads)\n"
-                    "  --json [PATH] write results to PATH (default "
-                    "%s)\n"
-                    "  --strict      exit nonzero when a paper anchor "
-                    "misses its tolerance\n",
-                    _name.c_str(), defaultJsonPath().c_str());
+                usage(stdout);
                 std::exit(0);
+            } else {
+                // A mistyped flag must not silently run the default
+                // grid and skip the output the caller asked for.
+                std::fprintf(stderr,
+                             "%s: unrecognised or incomplete argument "
+                             "'%s'\n",
+                             _name.c_str(), a.c_str());
+                usage(stderr);
+                std::exit(1);
             }
-            // Unknown flags are ignored so wrapped frameworks
-            // (google-benchmark) can keep their own.
         }
     }
 
@@ -591,6 +560,20 @@ class BenchContext
     }
 
     std::string defaultJsonPath() const { return "BENCH_" + _name + ".json"; }
+
+    void
+    usage(std::FILE *out) const
+    {
+        std::fprintf(out,
+                     "usage: %s [--jobs N] [--json [PATH]] [--strict]\n"
+                     "  --jobs N      scenario worker threads (default: "
+                     "DAGGER_BENCH_JOBS or hardware threads)\n"
+                     "  --json [PATH] write results to PATH (default "
+                     "%s)\n"
+                     "  --strict      exit nonzero when a paper anchor "
+                     "misses its tolerance\n",
+                     _name.c_str(), defaultJsonPath().c_str());
+    }
 
     std::string
     renderJson(double wall, bool checks_ok, bool anchors_ok) const

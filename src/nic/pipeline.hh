@@ -51,18 +51,18 @@ class ProtocolUnit
 /** The Packet Monitor block: networking statistics (§4.1). */
 struct PacketMonitor
 {
-    sim::Counter rpcsOut{"rpcs_out"};
-    sim::Counter rpcsIn{"rpcs_in"};
-    sim::Counter framesFetched{"frames_fetched"};
-    sim::Counter framesPosted{"frames_posted"};
-    sim::Counter bytesOut{"bytes_out"};
-    sim::Counter bytesIn{"bytes_in"};
-    sim::Counter dropsNoConnection{"drops_no_connection"};
-    sim::Counter dropsNoSlot{"drops_no_slot"};
-    sim::Counter malformed{"malformed"};
-    sim::Counter timeoutFlushes{"timeout_flushes"};
-    sim::Histogram fetchBatch{"fetch_batch_frames"};
-    sim::Histogram postBatch{"post_batch_frames"};
+    sim::Counter rpcsOut;
+    sim::Counter rpcsIn;
+    sim::Counter framesFetched;
+    sim::Counter framesPosted;
+    sim::Counter bytesOut;
+    sim::Counter bytesIn;
+    sim::Counter dropsNoConnection;
+    sim::Counter dropsNoSlot;
+    sim::Counter malformed;
+    sim::Counter timeoutFlushes;
+    sim::Histogram fetchBatch;
+    sim::Histogram postBatch;
 
     /** Total drops across causes observable at the NIC. */
     std::uint64_t

@@ -447,7 +447,7 @@ RpcClientPool::addClient(unsigned flow, HwThread &thread)
 sim::Histogram
 RpcClientPool::aggregateLatency() const
 {
-    sim::Histogram h("pool_rtt");
+    sim::Histogram h;
     for (const auto &c : _clients)
         h.merge(c->_latency);
     return h;

@@ -254,7 +254,7 @@ class RpcClient
     static constexpr std::size_t kRetriedDoneCap = 1024;
 
     CompletionQueue _cq;
-    sim::Histogram _latency{"rpc_rtt"};
+    sim::Histogram _latency;
     std::uint64_t _sent = 0;
     std::uint64_t _responses = 0;
     std::uint64_t _sendFailures = 0;

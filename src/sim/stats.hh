@@ -13,27 +13,24 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/time.hh"
 
 namespace dagger::sim {
 
-/** A monotonically increasing named counter. */
+/**
+ * A monotonically increasing counter.  Its name is the one it is
+ * registered under in a MetricRegistry.
+ */
 class Counter
 {
   public:
-    Counter() = default;
-    explicit Counter(std::string name) : _name(std::move(name)) {}
-
     void inc(std::uint64_t by = 1) { _value += by; }
     std::uint64_t value() const { return _value; }
-    const std::string &name() const { return _name; }
     void reset() { _value = 0; }
 
   private:
-    std::string _name;
     std::uint64_t _value = 0;
 };
 
@@ -49,9 +46,6 @@ class Histogram
   public:
     static constexpr int kSubBucketBits = 5; // 32 sub-buckets / octave
     static constexpr int kSubBuckets = 1 << kSubBucketBits;
-
-    Histogram() = default;
-    explicit Histogram(std::string name) : _name(std::move(name)) {}
 
     /** Record one sample. */
     void record(std::uint64_t value);
@@ -79,16 +73,10 @@ class Histogram
     /** Forget all samples. */
     void reset();
 
-    const std::string &name() const { return _name; }
-
-    /** Render "median/p90/p99 (us)" for reports (values taken as ticks). */
-    std::string summaryUs() const;
-
   private:
     static std::size_t bucketIndex(std::uint64_t value);
     static std::uint64_t bucketMidpoint(std::size_t index);
 
-    std::string _name;
     std::vector<std::uint64_t> _buckets; // grown lazily
     std::uint64_t _count = 0;
     std::uint64_t _sum = 0;

@@ -208,7 +208,7 @@ class FlightApp
     // Storm driver (runStorm only).
     std::unique_ptr<app::OpenLoopGen> _storm;
 
-    sim::Histogram _e2e{"flight_e2e"};
+    sim::Histogram _e2e;
     std::uint64_t _issued = 0;
     std::uint64_t _completed = 0;
     std::uint64_t _completedDegraded = 0;

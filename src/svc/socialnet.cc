@@ -70,8 +70,6 @@ SocialNet::build()
         _tiers[t] =
             std::make_unique<SoftRpcNode>(_eq, _cfg.stack, app, net);
         _tiers[t]->setColocationSlowdown(_cfg.colocationSlowdown);
-        _reqSize[t] = sim::Histogram(snTierName(t));
-        _respSize[t] = sim::Histogram(snTierName(t));
     }
     rpc::HwThread &fe_app = _cpus->core(6).thread(0);
     _frontend = std::make_unique<SoftRpcNode>(

@@ -181,9 +181,9 @@ class SocialNet
 
     std::array<sim::Histogram, kSnTiers> _reqSize;
     std::array<sim::Histogram, kSnTiers> _respSize;
-    sim::Histogram _allReq{"all_req_bytes"};
-    sim::Histogram _allResp{"all_resp_bytes"};
-    sim::Histogram _e2e{"socialnet_e2e"};
+    sim::Histogram _allReq;
+    sim::Histogram _allResp;
+    sim::Histogram _e2e;
 
     // Storm driver (runStorm only).
     std::unique_ptr<app::OpenLoopGen> _storm;

@@ -22,13 +22,9 @@ using sim::usToTicks;
 
 struct AckRig
 {
-    /**
-     * @param drop_every  unused shaping knob kept for symmetry
-     * @param mtu_frames  protocol fragmentation MTU (0 = no fragmenting)
-     */
-    explicit AckRig(std::size_t drop_every = 0, std::size_t mtu_frames = 0)
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2),
-          dropEvery(drop_every)
+    /** @param mtu_frames  protocol fragmentation MTU (0 = no fragmenting) */
+    explicit AckRig(std::size_t mtu_frames = 0)
+        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
     {
         nic::NicConfig cfg;
         cfg.numFlows = 1;
@@ -63,7 +59,6 @@ struct AckRig
 
     DaggerSystem sys;
     CpuSet cpus;
-    std::size_t dropEvery;
     DaggerNode *clientNode;
     DaggerNode *serverNode;
     nic::AckProtocol *clientAck;
@@ -204,7 +199,7 @@ TEST(AckProtocol, DelayedAckTriggersRetransmitButNoDuplicateDelivery)
 // was never retransmitted.
 TEST(AckProtocol, DroppedMiddleFragmentRetransmitsAndDeliversOnce)
 {
-    AckRig rig(0, /*mtu_frames=*/1); // every frame is its own packet
+    AckRig rig(/*mtu_frames=*/1); // every frame is its own packet
     net::FaultInjector fi(rig.sys.eq());
     fi.install(rig.sys.tor().attach(rig.serverNode->id()));
     fi.scriptDrop(2); // the middle fragment of the 3-packet request

@@ -82,6 +82,13 @@ TEST(PayloadCopies, CopiesScaleWithPayloadNotWithFrameCount)
     // sliced into 10x the views, so passes/RPC must grow with frame
     // count while bytes/RPC stayed put.
     EXPECT_GT(large.passesPerRpc, small.passesPerRpc * 2.0);
+
+    // 16 KB (342 frames) streams through the NIC's 16-slot request
+    // buffer in stalled waves; it must sustain a closed loop (runEcho
+    // checks completions) and still pay the one API-edge copy.
+    const RunStats huge = runEcho(16384);
+    EXPECT_GE(huge.bytesPerRpc, 16384.0);
+    EXPECT_LE(huge.bytesPerRpc, 16384.0 * 1.1);
 }
 
 TEST(PayloadCopies, HandlePassesDominateCopiesOnTheHotPath)

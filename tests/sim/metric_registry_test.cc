@@ -21,9 +21,9 @@ using dagger::sim::MetricScope;
 TEST(MetricRegistry, RegistersAllKindsInOrder)
 {
     MetricRegistry reg;
-    Counter c("c");
+    Counter c;
     c.inc(7);
-    Histogram h("h");
+    Histogram h;
     h.record(100);
 
     reg.addCounter("a.count", c);

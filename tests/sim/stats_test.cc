@@ -19,12 +19,11 @@ using dagger::sim::Histogram;
 
 TEST(Counter, IncrementsAndResets)
 {
-    Counter c("rpcs");
+    Counter c;
     EXPECT_EQ(c.value(), 0u);
     c.inc();
     c.inc(9);
     EXPECT_EQ(c.value(), 10u);
-    EXPECT_EQ(c.name(), "rpcs");
     c.reset();
     EXPECT_EQ(c.value(), 0u);
 }
@@ -185,15 +184,6 @@ TEST(Histogram, ResetForgetsEverything)
     EXPECT_EQ(h.percentile(99), 0u);
     h.record(7);
     EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(Histogram, SummaryUsFormats)
-{
-    Histogram h;
-    h.record(dagger::sim::usToTicks(2.0));
-    auto s = h.summaryUs();
-    EXPECT_NE(s.find("p50="), std::string::npos);
-    EXPECT_NE(s.find("p99="), std::string::npos);
 }
 
 // --- million-sample tail-quantile accuracy -------------------------

@@ -48,20 +48,17 @@
  *
  * Usage:
  *
- *   dagger_lint [--json] [--rule NAME]... [--jobs N] [--list-rules]
- *               PATH...
+ *   dagger_lint [--json] [--rule NAME]... [--list-rules] PATH...
  *
  * Paths may be files or directories (walked recursively for .cc/.hh,
  * sorted, so output order is deterministic).  Every scanned file is
  * loaded into an in-memory cache once; a .cc consults its same-stem
- * header through the cache instead of re-reading it from disk.  With
- * --jobs N files are scanned on N threads; results are merged in
- * input order, so output is byte-identical for every N.  Exit code:
- * 0 when clean, 1 on unsuppressed findings, 2 on usage/IO errors.
+ * header through the cache instead of re-reading it from disk.  Exit
+ * code: 0 when clean, 1 on unsuppressed findings, 2 on usage/IO
+ * errors.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -71,7 +68,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace fs = std::filesystem;
@@ -908,8 +904,8 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--json] [--rule NAME]... [--jobs N] "
-                 "[--list-rules] PATH...\n",
+                 "usage: %s [--json] [--rule NAME]... [--list-rules] "
+                 "PATH...\n",
                  argv0);
     return 2;
 }
@@ -920,19 +916,9 @@ int
 main(int argc, char **argv)
 {
     bool json = false;
-    unsigned jobs = 1;
     std::set<std::string> active(kAllRules.begin(), kAllRules.end());
     std::set<std::string> requested;
     std::vector<fs::path> roots;
-
-    auto parseJobs = [&jobs](const std::string &v) {
-        if (v.empty() ||
-            v.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        const unsigned long n = std::strtoul(v.c_str(), nullptr, 10);
-        jobs = n == 0 ? 1 : static_cast<unsigned>(std::min(n, 64ul));
-        return true;
-    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -942,12 +928,6 @@ main(int argc, char **argv)
             requested.insert(argv[++i]);
         } else if (a.rfind("--rule=", 0) == 0) {
             requested.insert(a.substr(7));
-        } else if (a == "--jobs" && i + 1 < argc) {
-            if (!parseJobs(argv[++i]))
-                return usage(argv[0]);
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            if (!parseJobs(a.substr(7)))
-                return usage(argv[0]);
         } else if (a == "--list-rules") {
             for (const std::string &r : kAllRules)
                 std::printf("%s\n", r.c_str());
@@ -1017,16 +997,12 @@ main(int argc, char **argv)
         }
         cache.emplace(key, std::move(ft));
     }
-    struct Unit
-    {
-        const FileText *ft = nullptr;
-        const FileText *header = nullptr;
-    };
-    std::vector<Unit> units;
-    units.reserve(files.size());
+    // Scan in sorted input order.  A .cc also consults its same-stem
+    // header, pulled into the cache on first use.
+    std::vector<Finding> findings;
+    std::size_t suppressed = 0;
     for (const fs::path &p : files) {
-        Unit u;
-        u.ft = &cache.at(p.generic_string());
+        const FileText *header = nullptr;
         if (p.extension() == ".cc" || p.extension() == ".cpp") {
             fs::path hh = p;
             hh.replace_extension(".hh");
@@ -1041,37 +1017,9 @@ main(int argc, char **argv)
                 }
             }
             if (it != cache.end())
-                u.header = &it->second;
+                header = &it->second;
         }
-        units.push_back(u);
-    }
-
-    // Scan units, optionally on a thread pool.  Each unit
-    // writes its own slot; the merge below walks slots in input order,
-    // so findings and counts are byte-identical for every --jobs N.
-    std::vector<ScanResult> results(units.size());
-    std::atomic<std::size_t> nextUnit{0};
-    auto worker = [&] {
-        for (std::size_t k = nextUnit.fetch_add(1); k < units.size();
-             k = nextUnit.fetch_add(1))
-            results[k] = scanOne(*units[k].ft, units[k].header, active);
-    };
-    if (jobs <= 1 || units.size() <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        const unsigned n = static_cast<unsigned>(
-            std::min<std::size_t>(jobs, units.size()));
-        pool.reserve(n);
-        for (unsigned t = 0; t < n; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-
-    std::vector<Finding> findings;
-    std::size_t suppressed = 0;
-    for (ScanResult &r : results) {
+        ScanResult r = scanOne(cache.at(p.generic_string()), header, active);
         suppressed += r.suppressed;
         for (Finding &f : r.findings)
             findings.push_back(std::move(f));
