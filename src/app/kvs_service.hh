@@ -30,6 +30,27 @@ constexpr std::size_t kKvMaxKey = 16;
 /** Maximum value bytes carried on the wire. */
 constexpr std::size_t kKvMaxVal = 32;
 
+/**
+ * A 64-bit id as a full-width key: 16 lower-case hex digits, zero
+ * padded (the bytes `"%016" PRIx64` prints).  The digits live in the
+ * object, so making a key never touches the heap; the view it
+ * converts to lives as long as the key does.
+ */
+class HexKey
+{
+  public:
+    explicit HexKey(std::uint64_t id)
+    {
+        for (std::size_t i = kKvMaxKey; i-- > 0; id >>= 4)
+            _digits[i] = "0123456789abcdef"[id & 0xf];
+    }
+
+    operator std::string_view() const { return {_digits, kKvMaxKey}; }
+
+  private:
+    char _digits[kKvMaxKey];
+};
+
 /** Function ids of the KVS service (get=1, set=2, as Listing 1). */
 enum class KvsFn : proto::FnId {
     Get = 1,

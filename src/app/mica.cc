@@ -7,12 +7,18 @@ namespace dagger::app {
 
 MicaPartition::MicaPartition(std::size_t log_bytes,
                              std::size_t index_buckets)
-    : _log(log_bytes), _buckets(index_buckets)
+    : _log(std::make_unique_for_overwrite<std::uint8_t[]>(log_bytes)),
+      _logBytes(log_bytes),
+      _buckets(static_cast<Bucket *>(
+          std::calloc(index_buckets, sizeof(Bucket)))),
+      _numBuckets(index_buckets)
 {
     dagger_assert(log_bytes >= 1024, "log too small: ", log_bytes);
     dagger_assert(index_buckets > 0 &&
                   (index_buckets & (index_buckets - 1)) == 0,
                   "index buckets must be a power of two");
+    dagger_assert(_buckets != nullptr, "cannot allocate ", index_buckets,
+                  " index buckets");
 }
 
 std::uint64_t
@@ -25,7 +31,7 @@ MicaPartition::keyHash(std::string_view key) const
 MicaPartition::Bucket &
 MicaPartition::bucketFor(std::uint64_t hash)
 {
-    return _buckets[(hash >> 16) & (_buckets.size() - 1)];
+    return _buckets[(hash >> 16) & (_numBuckets - 1)];
 }
 
 std::uint16_t
@@ -39,23 +45,25 @@ MicaPartition::appendRecord(std::string_view key, std::string_view value)
 {
     const std::size_t need = sizeof(RecordHeader) + key.size() +
                              value.size();
-    dagger_assert(need <= _log.size(), "record larger than log");
+    dagger_assert(need <= _logBytes, "record larger than log");
 
     // Keep records contiguous: if the record would straddle the end of
     // the ring, skip to the ring start (MICA pads the same way).
-    std::size_t pos = static_cast<std::size_t>(_head % _log.size());
+    std::size_t pos = static_cast<std::size_t>(_head % _logBytes);
     std::uint64_t off = _head;
-    if (pos + need > _log.size()) {
-        off += _log.size() - pos; // skip padding
+    if (pos + need > _logBytes) {
+        off += _logBytes - pos; // skip padding
         pos = 0;
         ++_stats.logWraps;
     }
+    dagger_assert(off < kOffsetLimit, "log offset overflows the index: ",
+                  off);
 
     RecordHeader hdr{static_cast<std::uint16_t>(key.size()),
                      static_cast<std::uint16_t>(value.size())};
-    std::memcpy(_log.data() + pos, &hdr, sizeof(hdr));
-    std::memcpy(_log.data() + pos + sizeof(hdr), key.data(), key.size());
-    std::memcpy(_log.data() + pos + sizeof(hdr) + key.size(), value.data(),
+    std::memcpy(_log.get() + pos, &hdr, sizeof(hdr));
+    std::memcpy(_log.get() + pos + sizeof(hdr), key.data(), key.size());
+    std::memcpy(_log.get() + pos + sizeof(hdr) + key.size(), value.data(),
                 value.size());
     _head = off + need;
     return off;
@@ -66,23 +74,23 @@ MicaPartition::readRecord(std::uint64_t offset, std::string_view key,
                           std::string &value_out) const
 {
     // Stale if the log head has lapped this record.
-    if (_head > offset + _log.size())
+    if (_head > offset + _logBytes)
         return false;
-    const std::size_t pos = static_cast<std::size_t>(offset % _log.size());
+    const std::size_t pos = static_cast<std::size_t>(offset % _logBytes);
     RecordHeader hdr;
-    if (pos + sizeof(hdr) > _log.size())
+    if (pos + sizeof(hdr) > _logBytes)
         return false;
-    std::memcpy(&hdr, _log.data() + pos, sizeof(hdr));
+    std::memcpy(&hdr, _log.get() + pos, sizeof(hdr));
     const std::size_t need = sizeof(hdr) + hdr.keyLen + hdr.valLen;
-    if (pos + need > _log.size())
+    if (pos + need > _logBytes)
         return false;
     if (hdr.keyLen != key.size())
         return false;
-    if (std::memcmp(_log.data() + pos + sizeof(hdr), key.data(),
+    if (std::memcmp(_log.get() + pos + sizeof(hdr), key.data(),
                     key.size()) != 0)
         return false;
     value_out.assign(
-        reinterpret_cast<const char *>(_log.data() + pos + sizeof(hdr) +
+        reinterpret_cast<const char *>(_log.get() + pos + sizeof(hdr) +
                                        hdr.keyLen),
         hdr.valLen);
     return true;
@@ -107,13 +115,13 @@ MicaPartition::set(std::string_view key, std::string_view value)
     // Otherwise take an invalid way, else displace (lossy).
     for (IndexEntry &e : b.ways) {
         if (!e.valid) {
-            e = IndexEntry{true, tag, off};
+            e = IndexEntry{1, tag, off};
             return;
         }
     }
     IndexEntry &victim = b.ways[b.nextVictim];
     b.nextVictim = (b.nextVictim + 1) % kWays;
-    victim = IndexEntry{true, tag, off};
+    victim = IndexEntry{1, tag, off};
     ++_stats.indexEvictions;
 }
 

@@ -16,7 +16,9 @@
 #define DAGGER_APP_MICA_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,7 +50,14 @@ struct MicaStats
     }
 };
 
-/** One MICA partition: lossy index + circular log. */
+/**
+ * One MICA partition: lossy index + circular log.
+ *
+ * Like MICA's, both structures cost only what is written to them.  The
+ * index comes from zeroed pages (an all-zero entry is an empty way) and
+ * the log is never initialised at all; see readRecord() for why that
+ * is safe.
+ */
 class MicaPartition
 {
   public:
@@ -68,7 +77,7 @@ class MicaPartition
     bool erase(std::string_view key);
 
     const MicaStats &stats() const { return _stats; }
-    std::size_t logBytes() const { return _log.size(); }
+    std::size_t logBytes() const { return _logBytes; }
 
     /** Record an EREW violation observed by the owning store. */
     void noteCrossPartition() { ++_stats.crossPartition; }
@@ -76,17 +85,32 @@ class MicaPartition
   private:
     static constexpr unsigned kWays = 8;
 
+    /** Offsets an index entry can hold (47 bits, as in MICA). */
+    static constexpr std::uint64_t kOffsetLimit = std::uint64_t{1} << 47;
+
+    /**
+     * One index way, packed into 64 bits as MICA packs it: a valid
+     * bit, a 16-bit tag and a 47-bit absolute log offset.  All-zero
+     * bits are an empty way.
+     */
     struct IndexEntry
     {
-        bool valid = false;
-        std::uint16_t tag = 0;
-        std::uint64_t offset = 0; ///< absolute log offset (monotonic)
+        std::uint64_t valid : 1;
+        std::uint64_t tag : 16;
+        std::uint64_t offset : 47; ///< absolute log offset (monotonic)
     };
+    static_assert(sizeof(IndexEntry) == 8);
 
+    /** An index set; all-zero bytes are an empty one. */
     struct Bucket
     {
         IndexEntry ways[kWays];
-        unsigned nextVictim = 0;
+        unsigned nextVictim;
+    };
+
+    struct FreeDeleter
+    {
+        void operator()(void *p) const { std::free(p); }
     };
 
     /** Log record header. */
@@ -103,13 +127,22 @@ class MicaPartition
     /** Append a record; returns its absolute offset. */
     std::uint64_t appendRecord(std::string_view key, std::string_view value);
 
-    /** Read the record at absolute @p offset if still live. */
+    /**
+     * Read the record at absolute @p offset if still live.
+     *
+     * @p offset always comes from an index entry, which only
+     * appendRecord() fills.  A record the head has not lapped is
+     * intact, and every byte read here lies inside it (its header says
+     * how far), so no read reaches log bytes that were never written.
+     */
     bool readRecord(std::uint64_t offset, std::string_view key,
                     std::string &value_out) const;
 
-    std::vector<std::uint8_t> _log;
+    std::unique_ptr<std::uint8_t[]> _log; ///< never zero-filled
+    std::size_t _logBytes;
     std::uint64_t _head = 0; ///< absolute append offset (monotonic)
-    std::vector<Bucket> _buckets;
+    std::unique_ptr<Bucket[], FreeDeleter> _buckets; ///< from calloc
+    std::size_t _numBuckets;
     MicaStats _stats;
 };
 

@@ -12,14 +12,25 @@
 #ifndef DAGGER_MEM_SET_ASSOC_CACHE_HH
 #define DAGGER_MEM_SET_ASSOC_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 #include "sim/logging.hh"
 
 namespace dagger::mem {
 
-/** Presence-only set-associative LRU cache keyed by 64-bit keys. */
+/**
+ * Presence-only set-associative LRU cache keyed by 64-bit keys.
+ *
+ * Storage is flat: one `sets x ways` array of keys, each set's row
+ * kept MRU-first, plus a per-set fill count.  Building a cache is two
+ * allocations whatever its size, and rows are never cleared: only the
+ * first `fill` keys of a row are ever read, and each was written
+ * before its row's count covered it.
+ */
 class SetAssocLruCache
 {
   public:
@@ -30,13 +41,15 @@ class SetAssocLruCache
     explicit SetAssocLruCache(std::size_t capacity, unsigned ways = 16)
         : _ways(ways)
     {
-        dagger_assert(ways >= 1, "need at least one way");
+        dagger_assert(ways >= 1 &&
+                      ways <= std::numeric_limits<Fill>::max(),
+                      "associativity out of range: ", ways);
         std::size_t sets = 1;
         while (sets * ways < capacity)
             sets <<= 1;
-        _sets.resize(sets);
-        for (auto &s : _sets)
-            s.reserve(ways);
+        _sets = sets;
+        _keys = std::make_unique_for_overwrite<std::uint64_t[]>(sets * ways);
+        _fill = std::make_unique<Fill[]>(sets);
     }
 
     /**
@@ -47,26 +60,27 @@ class SetAssocLruCache
     bool
     access(std::uint64_t key)
     {
-        auto &set = _sets[indexOf(key)];
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i] == key) {
+        const std::size_t set = indexOf(key);
+        std::uint64_t *row = _keys.get() + set * _ways;
+        Fill &fill = _fill[set];
+        for (std::size_t i = 0; i < fill; ++i) {
+            if (row[i] == key) {
                 // Move to MRU (front).
-                for (std::size_t j = i; j > 0; --j)
-                    set[j] = set[j - 1];
-                set[0] = key;
+                std::memmove(row + 1, row, i * sizeof(*row));
+                row[0] = key;
                 ++_hits;
                 return true;
             }
         }
         ++_misses;
-        if (set.size() < _ways) {
-            set.insert(set.begin(), key);
+        if (fill < _ways) {
+            std::memmove(row + 1, row, fill * sizeof(*row));
+            ++fill;
         } else {
-            for (std::size_t j = set.size() - 1; j > 0; --j)
-                set[j] = set[j - 1];
-            set[0] = key;
+            std::memmove(row + 1, row, (_ways - 1) * sizeof(*row));
             ++_evictions;
         }
+        row[0] = key;
         return false;
     }
 
@@ -74,17 +88,16 @@ class SetAssocLruCache
     bool
     contains(std::uint64_t key) const
     {
-        const auto &set = _sets[indexOf(key)];
-        for (std::uint64_t k : set)
-            if (k == key)
-                return true;
-        return false;
+        const std::size_t set = indexOf(key);
+        const std::uint64_t *row = _keys.get() + set * _ways;
+        const std::uint64_t *end = row + _fill[set];
+        return std::find(row, end, key) != end;
     }
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     std::uint64_t evictions() const { return _evictions; }
-    std::size_t capacity() const { return _sets.size() * _ways; }
+    std::size_t capacity() const { return _sets * _ways; }
 
     double
     hitRate() const
@@ -96,15 +109,20 @@ class SetAssocLruCache
     }
 
   private:
+    /** Keys held by one set; holds any supported associativity. */
+    using Fill = std::uint8_t;
+
     std::size_t
     indexOf(std::uint64_t key) const
     {
         std::uint64_t h = key * 0x9e3779b97f4a7c15ull;
-        return static_cast<std::size_t>(h >> 40) & (_sets.size() - 1);
+        return static_cast<std::size_t>(h >> 40) & (_sets - 1);
     }
 
     unsigned _ways;
-    std::vector<std::vector<std::uint64_t>> _sets;
+    std::size_t _sets = 0;
+    std::unique_ptr<std::uint64_t[]> _keys; ///< sets x ways, MRU first
+    std::unique_ptr<Fill[]> _fill;          ///< keys held per set
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
     std::uint64_t _evictions = 0;

@@ -1,8 +1,5 @@
 #include "svc/flight.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "sim/logging.hh"
 
 namespace dagger::svc {
@@ -28,14 +25,6 @@ struct TierResp
     std::uint32_t status = 0;
 };
 #pragma pack(pop)
-
-std::string
-keyFor(std::uint64_t pid)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, pid);
-    return std::string(buf, 16);
-}
 
 /** Pre-seeded Citizens records. */
 constexpr std::uint64_t kCitizens = 200'000;
@@ -89,7 +78,7 @@ FlightApp::buildTiers()
     _airportStore = std::make_unique<app::MicaKvs>(1, 16u << 20, 1u << 15);
     _citizensStore = std::make_unique<app::MicaKvs>(1, 32u << 20, 1u << 16);
     for (std::uint64_t pid = 1; pid <= kCitizens; ++pid)
-        _citizensStore->partition(0).set(keyFor(pid), "citizen-ok");
+        _citizensStore->partition(0).set(app::HexKey(pid), "citizen-ok");
 
     _airportBackend = std::make_unique<app::MicaBackend>(*_airportStore);
     _citizensBackend = std::make_unique<app::MicaBackend>(*_citizensStore);
@@ -204,7 +193,7 @@ FlightApp::installHandlers()
             _passport->tracer().record("passport", _cfg.passportCost);
             auto do_lookup = [this, simple, conn, rpc_id, fn, pid, t0] {
                 _toCitizens->getChecked(
-                    keyFor(pid),
+                    app::HexKey(pid),
                     [this, simple, conn, rpc_id, fn, pid,
                      t0](rpc::CallStatus st, bool hit, std::string_view) {
                         const std::uint32_t status =
@@ -274,7 +263,7 @@ FlightApp::installHandlers()
                     return;
                 // All three resolved: blocking call to the Airport DB.
                 _toAirport->set(
-                    keyFor(state->pid), "registered",
+                    app::HexKey(state->pid), "registered",
                     [this, simple, state](bool) {
                         TierResp resp{state->pid,
                                       state->degraded ? kDegraded : kOk};
@@ -385,7 +374,7 @@ FlightApp::startStaffDriver(sim::Rng &rng)
                     if (a->_sys.eq().now() >= a->_stopAt)
                         return;
                     const std::uint64_t pid = 1 + r->range(kCitizens);
-                    a->_staffKvs->get(keyFor(pid),
+                    a->_staffKvs->get(app::HexKey(pid),
                                       [a](bool, std::string_view) {
                                           ++a->_staffReads;
                                       });

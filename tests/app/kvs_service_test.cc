@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
 #include "app/adapters.hh"
 #include "app/kvs_service.hh"
 #include "app/workload.hh"
@@ -20,6 +23,18 @@ using namespace dagger;
 using namespace dagger::app;
 using namespace dagger::rpc;
 using sim::usToTicks;
+
+TEST(HexKey, MatchesPrintfFormat)
+{
+    for (const std::uint64_t id :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xdeadbeef},
+          UINT64_MAX}) {
+        char buf[kKvMaxKey + 1];
+        std::snprintf(buf, sizeof(buf), "%016" PRIx64, id);
+        EXPECT_EQ(std::string_view(HexKey(id)),
+                  std::string_view(buf, kKvMaxKey));
+    }
+}
 
 struct KvsRig
 {

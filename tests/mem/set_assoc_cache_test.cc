@@ -1,10 +1,13 @@
 /**
  * @file
  * Set-associative LRU cache tests, including the Zipf-hit-rate
- * property the MICA residency model depends on.
+ * property the MICA residency model depends on, and a differential
+ * test of the flat cache against a vector-per-set reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "mem/set_assoc_cache.hh"
 #include "sim/rng.hh"
@@ -12,6 +15,117 @@
 namespace {
 
 using dagger::mem::SetAssocLruCache;
+
+/**
+ * Reference model: the cache's earlier layout, one vector per set,
+ * MRU first.  Same geometry and set hash as SetAssocLruCache.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::size_t capacity, unsigned ways) : _ways(ways)
+    {
+        std::size_t sets = 1;
+        while (sets * ways < capacity)
+            sets <<= 1;
+        _sets.resize(sets);
+    }
+
+    bool
+    access(std::uint64_t key)
+    {
+        auto &set = _sets[indexOf(key)];
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            if (set[i] == key) {
+                for (std::size_t j = i; j > 0; --j)
+                    set[j] = set[j - 1];
+                set[0] = key;
+                ++hits;
+                return true;
+            }
+        }
+        ++misses;
+        if (set.size() < _ways) {
+            set.insert(set.begin(), key);
+        } else {
+            for (std::size_t j = set.size() - 1; j > 0; --j)
+                set[j] = set[j - 1];
+            set[0] = key;
+            ++evictions;
+        }
+        return false;
+    }
+
+    bool
+    contains(std::uint64_t key) const
+    {
+        for (std::uint64_t k : _sets[indexOf(key)])
+            if (k == key)
+                return true;
+        return false;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    std::size_t
+    indexOf(std::uint64_t key) const
+    {
+        std::uint64_t h = key * 0x9e3779b97f4a7c15ull;
+        return static_cast<std::size_t>(h >> 40) & (_sets.size() - 1);
+    }
+
+    unsigned _ways;
+    std::vector<std::vector<std::uint64_t>> _sets;
+};
+
+/**
+ * Drive both caches with @p next_key for 200k accesses: every access
+ * result, every probe and the final counters must agree.
+ */
+template <typename NextKey>
+void
+expectSameAsReference(unsigned ways, NextKey next_key)
+{
+    constexpr std::size_t kCapacity = 1 << 10;
+    SetAssocLruCache flat(kCapacity, ways);
+    ReferenceLru ref(kCapacity, ways);
+    ASSERT_EQ(flat.capacity() % ways, 0u);
+    dagger::sim::Rng probes(ways);
+    for (int i = 0; i < 200'000; ++i) {
+        const std::uint64_t key = next_key();
+        ASSERT_EQ(flat.access(key), ref.access(key))
+            << "access " << i << ", key " << key;
+        const std::uint64_t probe = probes.range(1 << 14);
+        ASSERT_EQ(flat.contains(probe), ref.contains(probe))
+            << "probe after access " << i << ", key " << probe;
+    }
+    EXPECT_EQ(flat.hits(), ref.hits);
+    EXPECT_EQ(flat.misses(), ref.misses);
+    EXPECT_EQ(flat.evictions(), ref.evictions);
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.evictions, 0u);
+}
+
+TEST(SetAssocLruCache, MatchesReferenceUnderUniformTraffic)
+{
+    for (unsigned ways : {1u, 4u, 16u}) {
+        SCOPED_TRACE(ways);
+        dagger::sim::Rng rng(11 + ways);
+        expectSameAsReference(ways, [&] { return rng.range(1 << 13); });
+    }
+}
+
+TEST(SetAssocLruCache, MatchesReferenceUnderZipfTraffic)
+{
+    for (unsigned ways : {1u, 4u, 16u}) {
+        SCOPED_TRACE(ways);
+        dagger::sim::ZipfianGenerator z(1 << 16, 0.99, 23 + ways);
+        expectSameAsReference(ways, [&] { return z.next(); });
+    }
+}
 
 TEST(SetAssocLruCache, MissThenHit)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Allocation gate for the RPC hot path.
+ * Allocation gates for the RPC hot path and for store set-up.
  *
  * Calls, frames and CCI-P completions live in storage that grows to
  * the work in flight and is then reused, the way Dagger's rings and
@@ -10,8 +10,12 @@
  * per-frame heap allocation back fails here, in every build preset
  * (the sanitizers intercept malloc underneath).
  *
- * Counting covers only simulation steps; no gtest code runs while the
- * counter is read.
+ * The set-up gates hold the Flight app and its MICA stores to a cost
+ * that grows with the records stored, not with the capacity reserved:
+ * a per-record key or a per-set cache vector fails them.
+ *
+ * Counting covers only simulation steps and construction; no gtest
+ * code runs while the counter is read.
  */
 
 #include <atomic>
@@ -23,9 +27,12 @@
 
 #include <gtest/gtest.h>
 
+#include "app/adapters.hh"
+#include "app/mica.hh"
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "svc/flight.hh"
 
 namespace {
 
@@ -140,13 +147,21 @@ class EchoLoop
  */
 constexpr std::uint64_t kWarmup = 100000;
 
+/** Heap allocations made while @p work runs. */
+template <typename Work>
+std::uint64_t
+allocsIn(Work &&work)
+{
+    const std::uint64_t before = gAllocs.load(std::memory_order_relaxed);
+    work();
+    return gAllocs.load(std::memory_order_relaxed) - before;
+}
+
 /** Heap allocations made while @p loop completes @p n more calls. */
 std::uint64_t
 allocsOver(EchoLoop &loop, std::uint64_t n)
 {
-    const std::uint64_t before = gAllocs.load(std::memory_order_relaxed);
-    loop.complete(n);
-    return gAllocs.load(std::memory_order_relaxed) - before;
+    return allocsIn([&] { loop.complete(n); });
 }
 
 TEST(HotPathAlloc, SmallEchoSteadyStateAllocatesNothing)
@@ -191,6 +206,36 @@ TEST(HotPathAlloc, BulkEchoAllocationsDoNotGrowWithFrames)
         << "2 KB: " << per_small << " allocs/RPC, 4 KB: " << per_large;
     EXPECT_EQ(small.mismatches(), 0u);
     EXPECT_EQ(large.mismatches(), 0u);
+}
+
+TEST(SetupAlloc, FlightAppCostsNoAllocationPerRecord)
+{
+    // The Optimized storm configuration.  Construction pre-seeds 200k
+    // Citizens records and builds two MICA stores with their LLC
+    // models; none of that may cost an allocation per record or per
+    // cache set.
+    svc::FlightConfig cfg;
+    cfg.model = svc::ThreadingModel::Optimized;
+    cfg.checkinLegBudget = sim::msToTicks(1);
+    cfg.checkinLegRetries = 2;
+    cfg.flightShedQueue = 64;
+    std::unique_ptr<svc::FlightApp> app;
+    const std::uint64_t allocs =
+        allocsIn([&] { app = std::make_unique<svc::FlightApp>(cfg); });
+    EXPECT_LE(allocs, 1000u);
+}
+
+TEST(SetupAlloc, MicaStoreAndBackendCostAFewAllocations)
+{
+    // The Citizens store: a 32 MB log, 2^16 index buckets and a 2^18
+    // item LLC model.
+    std::unique_ptr<app::MicaKvs> store;
+    std::unique_ptr<app::MicaBackend> backend;
+    const std::uint64_t allocs = allocsIn([&] {
+        store = std::make_unique<app::MicaKvs>(1, 32u << 20, 1u << 16);
+        backend = std::make_unique<app::MicaBackend>(*store);
+    });
+    EXPECT_LE(allocs, 8u);
 }
 
 } // namespace
