@@ -33,33 +33,22 @@ struct Result
 Result
 runWith(std::size_t cache_entries, unsigned connections)
 {
-    rpc::DaggerSystem sys(ic::IfaceKind::Upi);
-    rpc::CpuSet cpus(sys.eq(), 2);
-
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
+    rpc::TestbedConfig cfg;
+    cfg.soft.autoBatch = true;
     cfg.connCacheEntries = cache_entries;
     cfg.connCacheDramBacking = true;
-    nic::SoftConfig soft;
-    soft.autoBatch = true;
+    cfg.handler = rpc::echoHandler(sim::nsToTicks(20));
+    rpc::Testbed tb(cfg);
+    rpc::DaggerSystem &sys = tb.system();
+    rpc::DaggerNode &cnode = tb.clientNode();
+    rpc::DaggerNode &snode = tb.serverNode();
 
-    auto &cnode = sys.addNode(cfg, soft);
-    auto &snode = sys.addNode(cfg, soft);
-
-    rpc::RpcClient client(cnode, 0, cpus.core(0).thread(0));
+    rpc::RpcClient &client = tb.client();
     client.setSharedByThreads(true); // SRQ: many conns share the rings
 
-    rpc::RpcThreadedServer server(snode);
-    server.addThread(0, cpus.core(1).thread(0));
-    server.registerHandler(1, [](const proto::RpcMessage &req) {
-        rpc::HandlerOutcome out;
-        out.response = req.payload();
-        out.cost = sim::nsToTicks(20);
-        return out;
-    });
-
-    std::vector<proto::ConnId> conns;
-    for (unsigned c = 0; c < connections; ++c)
+    // The testbed's own connection is the first of the client's.
+    std::vector<proto::ConnId> conns{client.connection()};
+    for (unsigned c = 1; c < connections; ++c)
         conns.push_back(sys.connect(cnode, 0, snode, 0,
                                     nic::LbScheme::Static));
 
@@ -69,7 +58,7 @@ runWith(std::size_t cache_entries, unsigned connections)
     for (int i = 0; i < 4000; ++i) {
         sys.eq().scheduleAt(sim::nsToTicks(500.0 * i), [&, i] {
             std::uint64_t v = i;
-            client.callAsyncOn(conns[next], 1, &v, sizeof(v));
+            client.callAsyncOn(conns[next], rpc::kEchoFn, &v, sizeof(v));
             next = (next + 1) % conns.size();
         });
     }

@@ -33,30 +33,17 @@ Result
 runWith(nic::LbScheme lb)
 {
     constexpr unsigned kPartitions = 4;
-    rpc::DaggerSystem sys(ic::IfaceKind::Upi);
-    rpc::CpuSet cpus(sys.eq(), 1 + kPartitions);
-
-    nic::NicConfig ccfg;
-    ccfg.numFlows = 1;
-    nic::NicConfig scfg;
-    scfg.numFlows = kPartitions;
-    nic::SoftConfig soft;
-    soft.batchSize = 4;
-
-    auto &cnode = sys.addNode(ccfg, soft);
-    auto &snode = sys.addNode(scfg, soft);
-    snode.nicDev().setObjectLevelKey(0, 8);
+    rpc::TestbedConfig cfg;
+    cfg.serverFlows = kPartitions;
+    cfg.lb = lb;
+    rpc::Testbed tb(cfg);
+    tb.serverNode().nicDev().setObjectLevelKey(0, 8);
 
     MicaKvs store(kPartitions, 16u << 20, 1u << 14);
     MicaBackend backend(store);
+    KvsServer kvs_server(tb.server(), backend);
 
-    rpc::RpcThreadedServer server(snode);
-    for (unsigned p = 0; p < kPartitions; ++p)
-        server.addThread(p, cpus.core(1 + p).thread(0));
-    KvsServer kvs_server(server, backend);
-
-    rpc::RpcClient client(cnode, 0, cpus.core(0).thread(0));
-    client.setConnection(sys.connect(cnode, 0, snode, 0, lb));
+    rpc::RpcClient &client = tb.client();
     KvsClient typed(client);
 
     KvWorkload wl(100'000, 0.99, 0.5, kTiny);
@@ -71,9 +58,9 @@ runWith(nic::LbScheme lb)
     for (int w = 0; w < 64; ++w)
         fire();
 
-    sys.eq().runFor(sim::msToTicks(2));
+    tb.system().runFor(sim::msToTicks(2));
     const std::uint64_t d0 = client.responses();
-    sys.eq().runFor(sim::msToTicks(8));
+    tb.system().runFor(sim::msToTicks(8));
 
     Result r;
     r.mrps = sim::ratePerSec(client.responses() - d0, sim::msToTicks(8)) /

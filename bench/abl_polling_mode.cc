@@ -42,13 +42,10 @@ modeName(Mode m)
     return "?";
 }
 
-std::unique_ptr<EchoRig>
+std::unique_ptr<rpc::Testbed>
 makeRig(Mode m)
 {
-    EchoRig::Options opt;
-    opt.batch = 4;
-    opt.threads = 1;
-    auto rig = std::make_unique<EchoRig>(opt);
+    auto rig = std::make_unique<rpc::Testbed>(echoTestbed());
     for (std::size_t n = 0; n < 2; ++n) {
         auto &soft = rig->system().node(n).nicDev().softConfig();
         auto &port = rig->system().node(n).nicDev().cciPort();

@@ -46,17 +46,19 @@ constexpr RowSpec kRows[] = {
 RowResult
 runRow(const RowSpec &spec)
 {
-    EchoRig::Options opt;
-    opt.iface = spec.iface;
-    opt.batch = spec.batch;
-    opt.threads = 1;
+    auto testbed = [&spec] {
+        rpc::TestbedConfig tb = echoTestbed();
+        tb.iface = spec.iface;
+        tb.soft.batchSize = spec.batch;
+        return tb;
+    };
     RowResult r;
     {
-        EchoRig rig(opt);
+        rpc::Testbed rig(testbed());
         r.lat = rig.offer(0.5, sim::msToTicks(1), sim::msToTicks(6));
     }
     {
-        EchoRig rig(opt);
+        rpc::Testbed rig(testbed());
         r.sat = rig.saturate(96).mrps;
     }
     return r;

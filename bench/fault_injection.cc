@@ -77,15 +77,11 @@ struct LossPoint
 LossPoint
 runScenario(const Scenario &sc)
 {
-    rpc::DaggerSystem sys(ic::IfaceKind::Upi);
-    rpc::CpuSet cpus(sys.eq(), 2);
-
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
-    nic::SoftConfig soft;
-    soft.autoBatch = true;
-    rpc::DaggerNode &cnode = sys.addNode(cfg, soft);
-    rpc::DaggerNode &snode = sys.addNode(cfg, soft);
+    rpc::TestbedConfig cfg;
+    cfg.soft.autoBatch = true;
+    cfg.handler = rpc::echoHandler(sim::nsToTicks(40));
+    rpc::Testbed tb(cfg);
+    rpc::DaggerSystem &sys = tb.system();
 
     auto cp = std::make_unique<nic::AckProtocol>(kAckTimeout, kAckRetries,
                                                  kMtuFrames);
@@ -93,8 +89,8 @@ runScenario(const Scenario &sc)
                                                  kMtuFrames);
     nic::AckProtocol &cack = *cp;
     nic::AckProtocol &sack = *sp;
-    cnode.nicDev().setProtocol(std::move(cp));
-    snode.nicDev().setProtocol(std::move(sp));
+    tb.clientNode().nicDev().setProtocol(std::move(cp));
+    tb.serverNode().nicDev().setProtocol(std::move(sp));
 
     // Independent fault streams per direction; a scripted flap blacks
     // out the request direction (covering it is the retry layer's job).
@@ -108,12 +104,10 @@ runScenario(const Scenario &sc)
     toClient.seed = sc.seed * 2 + 2;
     net::FaultInjector fwd(sys.eq(), toServer);
     net::FaultInjector rev(sys.eq(), toClient);
-    fwd.install(sys.tor().attach(snode.id()));
-    rev.install(sys.tor().attach(cnode.id()));
+    fwd.install(sys.tor().attach(tb.serverNode().id()));
+    rev.install(sys.tor().attach(tb.clientNode().id()));
 
-    rpc::RpcClient cli(cnode, 0, cpus.core(0).thread(0));
-    cli.setConnection(
-        sys.connect(cnode, 0, snode, 0, nic::LbScheme::Static));
+    rpc::RpcClient &cli = tb.client();
     // Client timeout sits above the transport's full retransmit budget
     // (6 x 20us), so it only fires when the transport has given up.
     rpc::RetryPolicy policy;
@@ -123,21 +117,12 @@ runScenario(const Scenario &sc)
     policy.maxTimeout = usToTicks(600);
     cli.setRetryPolicy(policy);
 
-    rpc::RpcThreadedServer server(snode);
-    server.addThread(0, cpus.core(1).thread(0));
-    server.registerHandler(1, [](const proto::RpcMessage &req) {
-        rpc::HandlerOutcome out;
-        out.response = req.payload();
-        out.cost = sim::nsToTicks(40);
-        return out;
-    });
-
     std::vector<std::uint8_t> payload(kPayload, 0xa5);
     std::uint64_t ok = 0, timed_out = 0;
     for (unsigned i = 0; i < kCalls; ++i) {
         sys.eq().scheduleAt(usToTicks(i), [&] {
             cli.callAsyncStatus(
-                1, payload.data(), payload.size(),
+                rpc::kEchoFn, payload.data(), payload.size(),
                 [&](rpc::CallStatus st, const proto::RpcMessage &) {
                     (st == rpc::CallStatus::Ok ? ok : timed_out)++;
                 });

@@ -49,29 +49,25 @@ run(BenchContext &ctx)
     std::vector<std::function<Point()>> scenarios;
     for (const Config &cfg : kConfigs)
         scenarios.push_back([cfg] {
-            EchoRig::Options opt;
-            opt.iface = cfg.iface;
-            opt.batch = cfg.batch;
-            opt.threads = 1;
+            auto testbed = [&cfg] {
+                rpc::TestbedConfig tb = echoTestbed();
+                tb.iface = cfg.iface;
+                tb.soft.batchSize = cfg.batch;
+                return tb;
+            };
             // Saturation throughput: deep closed-loop pipeline.
-            EchoRig rig(opt);
+            rpc::Testbed rig(testbed());
             Point sat = rig.saturate(/*window=*/96);
             // Latency: a fresh rig at a high-but-stable open-loop load
             // (75% of saturation), the paper's operating regime.
-            EchoRig lat_rig(opt);
+            rpc::Testbed lat_rig(testbed());
             Point p = lat_rig.offer(0.6 * sat.mrps);
             p.mrps = sat.mrps;
             return p;
         });
     // Best-effort peak (§5.3: 16.5 Mrps with arbitrary drops allowed).
     scenarios.push_back([] {
-        EchoRig::Options opt;
-        opt.iface = ic::IfaceKind::Upi;
-        opt.batch = 4;
-        opt.threads = 1;
-        opt.serverCost = 0;
-        opt.bestEffort = true;
-        EchoRig rig(opt);
+        rpc::Testbed rig(echoTestbed(1, /*server_cost=*/0));
         return rig.floodPeak();
     });
     const std::vector<Point> results =

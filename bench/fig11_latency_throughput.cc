@@ -55,11 +55,10 @@ run(BenchContext &ctx)
     for (const Curve &curve : kCurves)
         for (double load : kLoads)
             scenarios.push_back([curve, load] {
-                EchoRig::Options opt;
-                opt.batch = curve.batch;
-                opt.autoBatch = curve.autoBatch;
-                opt.threads = 1;
-                EchoRig rig(opt);
+                rpc::TestbedConfig tb = echoTestbed();
+                tb.soft.batchSize = curve.batch;
+                tb.soft.autoBatch = curve.autoBatch;
+                rpc::Testbed rig(tb);
                 return rig.offer(load, sim::msToTicks(2),
                                  sim::msToTicks(8));
             });

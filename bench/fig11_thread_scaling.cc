@@ -89,10 +89,7 @@ run(BenchContext &ctx)
     std::vector<std::function<Row()>> scenarios;
     for (unsigned t = 1; t <= 8; ++t)
         scenarios.push_back([t] {
-            EchoRig::Options opt;
-            opt.batch = 4;
-            opt.threads = t;
-            EchoRig rig(opt);
+            rpc::Testbed rig(echoTestbed(t));
             const Point p = rig.saturate(/*window=*/96,
                                          sim::msToTicks(2),
                                          sim::msToTicks(6));

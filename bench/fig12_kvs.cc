@@ -26,86 +26,48 @@ using namespace dagger::bench;
 constexpr std::uint64_t kMcdKeys = 200'000;
 constexpr std::uint64_t kMicaKeys = 1'000'000;
 
-/** Closed-loop KVS driver over the full Dagger stack, one core. */
-class KvsRig
+/** One core per side, steered by key hash (the Object-Level balancer). */
+rpc::TestbedConfig
+kvsTestbed()
 {
-  public:
-    KvsRig(KvBackend &backend, KvWorkload &wl)
-        : _wl(wl), _sys(ic::IfaceKind::Upi)
-    {
-        nic::NicConfig cfg;
-        cfg.numFlows = 1;
-        cfg.txRingEntries = 512;
-        cfg.rxRingEntries = 512;
-        nic::SoftConfig soft;
-        soft.batchSize = 4;
+    rpc::TestbedConfig cfg;
+    cfg.txRingEntries = 512;
+    cfg.rxRingEntries = 512;
+    cfg.lb = nic::LbScheme::ObjectLevel;
+    return cfg;
+}
 
-        _clientNode = &_sys.addNode(cfg, soft);
-        _serverNode = &_sys.addNode(cfg, soft);
-        _serverNode->nicDev().setObjectLevelKey(0, wl.shape().keyLen);
-
-        // One core per side.
-        _clientCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
-        _serverCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
-
-        _client = std::make_unique<rpc::RpcClient>(
-            *_clientNode, 0, _clientCpus->core(0).thread(0));
-        _client->setConnection(_sys.connect(*_clientNode, 0, *_serverNode,
-                                            0, nic::LbScheme::ObjectLevel));
-        _kvs = std::make_unique<KvsClient>(*_client);
-
-        _server = std::make_unique<rpc::RpcThreadedServer>(*_serverNode);
-        _server->addThread(0, _serverCpus->core(0).thread(0));
-        _app = std::make_unique<KvsServer>(*_server, backend);
-    }
-
-    rpc::DaggerSystem &system() { return _sys; }
-    rpc::RpcThreadedServer &server() { return *_server; }
-    /** Where backend-side work (e.g. memcached hash costs) is
-     *  scheduled. */
-    sim::EventQueue &serverEq() { return _sys.eq(); }
-
-    Point
-    run(unsigned window, sim::Tick warmup = sim::msToTicks(3),
-        sim::Tick measure = sim::msToTicks(10))
-    {
-        for (unsigned w = 0; w < window; ++w)
-            fire();
-        _sys.runFor(warmup);
-        const std::uint64_t d0 = _client->responses();
-        _client->latency().reset();
-        _sys.runFor(measure);
-        Point p;
-        p.mrps = sim::ratePerSec(_client->responses() - d0, measure) / 1e6;
-        p.p50_us = sim::ticksToUs(_client->latency().percentile(50));
-        p.p99_us = sim::ticksToUs(_client->latency().percentile(99));
-        return p;
-    }
-
-  private:
-    void
-    fire()
-    {
-        KvOp op = _wl.next();
-        if (op.isGet) {
-            _kvs->get(op.key,
-                      [this](bool, std::string_view) { fire(); });
-        } else {
-            _kvs->set(op.key, op.value, [this](bool) { fire(); });
-        }
-    }
-
-    KvWorkload &_wl;
-    rpc::DaggerSystem _sys;
-    rpc::DaggerNode *_clientNode;
-    rpc::DaggerNode *_serverNode;
-    std::unique_ptr<rpc::CpuSet> _clientCpus;
-    std::unique_ptr<rpc::CpuSet> _serverCpus;
-    std::unique_ptr<rpc::RpcClient> _client;
-    std::unique_ptr<KvsClient> _kvs;
-    std::unique_ptr<rpc::RpcThreadedServer> _server;
-    std::unique_ptr<KvsServer> _app;
-};
+/** Closed-loop KVS run over @p tb: @p window requests in flight,
+ *  measured over 10 ms after a 3 ms warm-up. */
+Point
+runKvs(rpc::Testbed &tb, KvBackend &backend, KvWorkload &wl,
+       unsigned window)
+{
+    const sim::Tick warmup = sim::msToTicks(3);
+    const sim::Tick measure = sim::msToTicks(10);
+    tb.serverNode().nicDev().setObjectLevelKey(0, wl.shape().keyLen);
+    KvsClient kvs(tb.client());
+    KvsServer app(tb.server(), backend);
+    std::function<void()> fire = [&] {
+        KvOp op = wl.next();
+        if (op.isGet)
+            kvs.get(op.key, [&](bool, std::string_view) { fire(); });
+        else
+            kvs.set(op.key, op.value, [&](bool) { fire(); });
+    };
+    for (unsigned w = 0; w < window; ++w)
+        fire();
+    rpc::RpcClient &cli = tb.client();
+    tb.system().runFor(warmup);
+    const std::uint64_t d0 = cli.responses();
+    cli.latency().reset();
+    tb.system().runFor(measure);
+    Point p;
+    p.mrps = sim::ratePerSec(cli.responses() - d0, measure) / 1e6;
+    p.p50_us = sim::ticksToUs(cli.latency().percentile(50));
+    p.p99_us = sim::ticksToUs(cli.latency().percentile(99));
+    return p;
+}
 
 struct KvsResult
 {
@@ -140,10 +102,11 @@ runMica(DatasetShape shape, double theta)
                     backend.kvSet(0, op.key, op.value, scratch);
             }
         }
-        KvsRig rig(backend, wl);
-        Point p = rig.run(/*window=*/48); // saturation throughput
-        KvsRig lat_rig(backend, wl);
-        Point lat = lat_rig.run(/*window=*/12); // paper-like pipelining
+        rpc::Testbed rig(kvsTestbed());
+        Point p = runKvs(rig, backend, wl, /*window=*/48); // saturation
+        // Latency at paper-like pipelining.
+        rpc::Testbed lat_rig(kvsTestbed());
+        Point lat = runKvs(lat_rig, backend, wl, /*window=*/12);
         p.p50_us = lat.p50_us;
         p.p99_us = lat.p99_us;
         if (get_ratio == 0.5)
@@ -165,21 +128,15 @@ runMemcached(DatasetShape shape)
             const auto key = wl.keyFor(i);
             store.set(key, wl.valueFor(key));
         }
-        // The backend needs the rig's event queue: build the rig with
-        // a placeholder backend, then re-attach a memcached-backed
-        // KvsServer (handler re-registration replaces the placeholder).
-        MicaKvs dummy(1, 1 << 20, 1 << 10);
-        MicaBackend dummy_backend(dummy);
-        KvsRig rig(dummy_backend, wl);
-        MemcachedBackend backend(store, rig.serverEq());
-        KvsServer mc_app(rig.server(), backend);
-        Point p = rig.run(/*window=*/8); // saturation throughput
+        // The backend reads expiry time from the testbed's clock.
+        rpc::Testbed rig(kvsTestbed());
+        MemcachedBackend backend(store, rig.system().eq());
+        Point p = runKvs(rig, backend, wl, /*window=*/8); // saturation
         // Latency at light pipelining (the paper's 0.6 Mrps operating
         // point implies ~2 outstanding requests).
-        KvsRig lat_rig(dummy_backend, wl);
-        MemcachedBackend lat_backend(store, lat_rig.serverEq());
-        KvsServer lat_app(lat_rig.server(), lat_backend);
-        Point lat = lat_rig.run(/*window=*/1);
+        rpc::Testbed lat_rig(kvsTestbed());
+        MemcachedBackend lat_backend(store, lat_rig.system().eq());
+        Point lat = runKvs(lat_rig, lat_backend, wl, /*window=*/1);
         p.p50_us = lat.p50_us;
         p.p99_us = lat.p99_us;
         if (get_ratio == 0.5)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared bench harness: echo rigs over the Dagger fabric, load
- * drivers, and paper-vs-measured table printing.
+ * Shared bench harness: the echo testbed configuration, scenario
+ * runner, JSON export and paper-vs-measured table printing.
  *
  * Every bench binary regenerates one table or figure of the paper and
  * prints the paper's reported value next to the measured one.  The
@@ -30,231 +30,43 @@
 #include "app/adapters.hh"
 #include "app/kvs_service.hh"
 #include "app/workload.hh"
-#include "rpc/client.hh"
-#include "rpc/server.hh"
-#include "rpc/system.hh"
+#include "rpc/testbed.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
 
 namespace dagger::bench {
 
 /** One measured operating point. */
-struct Point
-{
-    double mrps = 0;    ///< achieved throughput, Mrps
-    double p50_us = 0;  ///< median RTT
-    double p99_us = 0;  ///< 99th percentile RTT
-    double drops = 0;   ///< drop fraction
-};
+using Point = rpc::LoadPoint;
 
-/** Echo rig: N client threads <-> N server flows over one fabric. */
-class EchoRig
+/**
+ * The echo testbed behind the latency and throughput figures:
+ * @p threads client threads and server flows over 512-entry rings,
+ * batch 4, and a handler costing @p server_cost plus a small
+ * exponential jitter, so tail percentiles behave like a real system
+ * rather than a deterministic pipeline.  The jitter stream is shared
+ * by the server threads of one testbed: build a fresh config for each
+ * testbed instead of copying one.
+ */
+inline rpc::TestbedConfig
+echoTestbed(unsigned threads = 1, sim::Tick server_cost = sim::nsToTicks(10))
 {
-  public:
-    struct Options
-    {
-        ic::IfaceKind iface = ic::IfaceKind::Upi;
-        unsigned batch = 4;
-        bool autoBatch = false;
-        unsigned threads = 1;        ///< client software threads
-        std::size_t payload = 48;    ///< one 64 B frame by default
-        sim::Tick serverCost = sim::nsToTicks(10);
-        bool bestEffort = false;     ///< allow drops (peak-rate mode)
-        std::size_t txRingEntries = 512; ///< frames per TX ring
-        std::size_t rxRingEntries = 512; ///< frames per RX ring
+    rpc::TestbedConfig cfg;
+    cfg.clientFlows = threads;
+    cfg.serverFlows = threads;
+    cfg.txRingEntries = 512;
+    cfg.rxRingEntries = 512;
+    auto jitter = std::make_shared<sim::Rng>(0x7a17);
+    cfg.handler = [server_cost, jitter](const proto::RpcMessage &req) {
+        rpc::HandlerOutcome out;
+        out.response = req.payload();
+        out.cost = server_cost +
+            static_cast<sim::Tick>(jitter->exponential(
+                static_cast<double>(server_cost) * 0.5));
+        return out;
     };
-
-    explicit EchoRig(const Options &opt)
-        : _opt(opt), _sys(opt.iface), _rng(0xbe0c4)
-    {
-        nic::NicConfig cfg;
-        cfg.numFlows = opt.threads;
-        cfg.iface = opt.iface;
-        cfg.txRingEntries = opt.txRingEntries;
-        cfg.rxRingEntries = opt.rxRingEntries;
-        nic::SoftConfig soft;
-        soft.batchSize = opt.batch;
-        soft.autoBatch = opt.autoBatch;
-
-        _clientNode = &_sys.addNode(cfg, soft);
-        _serverNode = &_sys.addNode(cfg, soft);
-
-        // Tight 80ns send loops co-schedule well on SMT siblings: a mild
-        // 1.2x penalty matches the paper's near-linear scaling to 4
-        // threads on 2 cores.
-        _clientCpus = std::make_unique<rpc::CpuSet>(
-            _sys.eq(), std::max(1u, (opt.threads + 1) / 2), 1.2);
-        _serverCpus = std::make_unique<rpc::CpuSet>(_sys.eq(), opt.threads);
-        _server = std::make_unique<rpc::RpcThreadedServer>(*_serverNode);
-
-        for (unsigned t = 0; t < opt.threads; ++t) {
-            // Paper placement: logical client thread t -> core t/2.
-            auto &cli = _clients.emplace_back(std::make_unique<rpc::RpcClient>(
-                *_clientNode, t, _clientCpus->logicalThread(t)));
-            cli->setConnection(_sys.connect(*_clientNode, t, *_serverNode,
-                                            t, nic::LbScheme::Static));
-            if (opt.bestEffort)
-                cli->setBestEffort(true);
-            _server->addThread(t, _serverCpus->core(t).thread(0));
-        }
-        // Handler cost carries a small exponential jitter so tail
-        // percentiles behave like a real system rather than a
-        // deterministic pipeline.
-        auto jitter = std::make_shared<sim::Rng>(0x7a17);
-        _server->registerHandler(1, [cost = opt.serverCost, jitter](
-                                        const proto::RpcMessage &req) {
-            rpc::HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = cost +
-                static_cast<sim::Tick>(jitter->exponential(
-                    static_cast<double>(cost) * 0.5));
-            return out;
-        });
-        _payload.assign(opt.payload, 0x5a);
-    }
-
-    /**
-     * Closed-loop saturation run: @p window outstanding requests per
-     * thread; measures completions over @p measure after @p warmup.
-     */
-    Point
-    saturate(unsigned window = 32,
-             sim::Tick warmup = sim::msToTicks(2),
-             sim::Tick measure = sim::msToTicks(10))
-    {
-        for (auto &cli : _clients)
-            for (unsigned w = 0; w < window; ++w)
-                fireClosedLoop(*cli);
-        return measureWindow(warmup, measure);
-    }
-
-    /**
-     * Open-loop run at @p offered_mrps total (split across threads),
-     * Poisson arrivals.
-     */
-    Point
-    offer(double offered_mrps, sim::Tick warmup = sim::msToTicks(2),
-          sim::Tick measure = sim::msToTicks(10))
-    {
-        const double per_thread =
-            offered_mrps / static_cast<double>(_clients.size());
-        _stopAt = _sys.now() + warmup + measure;
-        for (auto &cli : _clients)
-            fireOpenLoop(*cli, per_thread);
-        return measureWindow(warmup, measure);
-    }
-
-    /**
-     * Best-effort flood (§5.3): clients fire-and-forget at their CPU
-     * send rate; the reported throughput is the rate the server side
-     * actually processes, with drops allowed anywhere.
-     */
-    Point
-    floodPeak(sim::Tick warmup = sim::msToTicks(2),
-              sim::Tick measure = sim::msToTicks(10))
-    {
-        _stopAt = _sys.now() + warmup + measure;
-        for (auto &cli : _clients)
-            floodLoop(*cli);
-        _sys.runFor(warmup);
-        const std::uint64_t done0 = _server->totalProcessed();
-        _sys.runFor(measure);
-        const std::uint64_t done1 = _server->totalProcessed();
-        Point p;
-        p.mrps = sim::ratePerSec(done1 - done0, measure) / 1e6;
-        const auto &mon = _serverNode->nicDev().monitor();
-        const double seen = static_cast<double>(mon.rpcsIn.value());
-        p.drops = seen == 0
-            ? 0.0
-            : static_cast<double>(mon.drops()) / seen;
-        return p;
-    }
-
-    rpc::DaggerSystem &system() { return _sys; }
-    rpc::RpcClient &client(unsigned i) { return *_clients.at(i); }
-    rpc::RpcThreadedServer &server() { return *_server; }
-
-  private:
-    void
-    floodLoop(rpc::RpcClient &cli)
-    {
-        sim::EventQueue &eq = _sys.eq();
-        if (eq.now() >= _stopAt)
-            return;
-        cli.callAsync(1, _payload.data(), _payload.size());
-        eq.schedule(_sys.sendCpuCost(*_clientNode),
-                    [this, &cli] { floodLoop(cli); });
-    }
-
-    void
-    fireClosedLoop(rpc::RpcClient &cli)
-    {
-        cli.callAsync(1, _payload.data(), _payload.size(),
-                      [this, &cli](const proto::RpcMessage &) {
-                          fireClosedLoop(cli);
-                      });
-    }
-
-    void
-    fireOpenLoop(rpc::RpcClient &cli, double mrps)
-    {
-        sim::EventQueue &eq = _sys.eq();
-        if (eq.now() >= _stopAt)
-            return;
-        const double mean_gap_ns = 1000.0 / mrps;
-        eq.schedule(
-            sim::nsToTicks(_rng.exponential(mean_gap_ns)),
-            [this, &cli, mrps] {
-                if (_sys.eq().now() < _stopAt)
-                    cli.callAsync(1, _payload.data(), _payload.size());
-                fireOpenLoop(cli, mrps);
-            });
-    }
-
-    Point
-    measureWindow(sim::Tick warmup, sim::Tick measure)
-    {
-        _sys.runFor(warmup);
-        std::uint64_t done0 = 0, sent0 = 0, fail0 = 0;
-        for (auto &cli : _clients) {
-            done0 += cli->responses();
-            sent0 += cli->sent();
-            fail0 += cli->sendFailures();
-            cli->latency().reset();
-        }
-        _sys.runFor(measure);
-        std::uint64_t done1 = 0, sent1 = 0, fail1 = 0;
-        sim::Histogram lat;
-        for (auto &cli : _clients) {
-            done1 += cli->responses();
-            sent1 += cli->sent();
-            fail1 += cli->sendFailures();
-            lat.merge(cli->latency());
-        }
-        Point p;
-        p.mrps = sim::ratePerSec(done1 - done0, measure) / 1e6;
-        p.p50_us = sim::ticksToUs(lat.percentile(50));
-        p.p99_us = sim::ticksToUs(lat.percentile(99));
-        const double attempts = static_cast<double>(
-            (sent1 - sent0) + (fail1 - fail0));
-        p.drops = attempts == 0
-            ? 0.0
-            : static_cast<double>(fail1 - fail0) / attempts;
-        return p;
-    }
-
-    Options _opt;
-    rpc::DaggerSystem _sys;
-    std::unique_ptr<rpc::CpuSet> _clientCpus;
-    std::unique_ptr<rpc::CpuSet> _serverCpus;
-    sim::Rng _rng;
-    rpc::DaggerNode *_clientNode;
-    rpc::DaggerNode *_serverNode;
-    std::unique_ptr<rpc::RpcThreadedServer> _server;
-    std::vector<std::unique_ptr<rpc::RpcClient>> _clients;
-    std::vector<std::uint8_t> _payload;
-    sim::Tick _stopAt = 0;
-};
+    return cfg;
+}
 
 /** Print a table header. */
 inline void

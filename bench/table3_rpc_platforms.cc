@@ -102,16 +102,12 @@ runBaseline(baseline::SoftStack stack)
 Point
 runDagger()
 {
-    EchoRig::Options opt;
-    opt.batch = 4;
-    opt.autoBatch = true; // latency at low load without batch waits
-    opt.threads = 1;
-    EchoRig lat_rig(opt);
+    rpc::TestbedConfig lat_tb = echoTestbed();
+    lat_tb.soft.autoBatch = true; // latency at low load without batch waits
+    rpc::Testbed lat_rig(lat_tb);
     Point lat = lat_rig.offer(0.2, sim::msToTicks(1), sim::msToTicks(5));
 
-    EchoRig::Options sat_opt = opt;
-    sat_opt.autoBatch = false;
-    EchoRig sat_rig(sat_opt);
+    rpc::Testbed sat_rig(echoTestbed());
     Point sat = sat_rig.saturate(96);
 
     Point p;

@@ -18,9 +18,7 @@
 #include "app/adapters.hh"
 #include "app/kvs_service.hh"
 #include "app/workload.hh"
-#include "rpc/client.hh"
-#include "rpc/server.hh"
-#include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 int
 main()
@@ -29,32 +27,21 @@ main()
     constexpr unsigned kPartitions = 4;
     constexpr int kOps = 20000;
 
-    rpc::DaggerSystem sys(ic::IfaceKind::Upi);
-    rpc::CpuSet cpus(sys.eq(), 1 + kPartitions);
-
-    nic::NicConfig client_cfg;
-    client_cfg.numFlows = 1;
-    nic::NicConfig server_cfg;
-    server_cfg.numFlows = kPartitions;
-    nic::SoftConfig soft;
-    soft.batchSize = 4;
-
-    auto &client_node = sys.addNode(client_cfg, soft);
-    auto &server_node = sys.addNode(server_cfg, soft);
-    server_node.nicDev().setObjectLevelKey(0, 8); // key at offset 0
+    // One client flow; one server flow (and core) per partition, with
+    // the NIC steering each request by the hash of its key.
+    rpc::TestbedConfig cfg;
+    cfg.serverFlows = kPartitions;
+    cfg.lb = nic::LbScheme::ObjectLevel;
+    rpc::Testbed tb(cfg);
+    rpc::DaggerSystem &sys = tb.system();
+    tb.serverNode().nicDev().setObjectLevelKey(0, 8); // key at offset 0
 
     // The store: 4 partitions, steered by the same hash the NIC uses.
     app::MicaKvs store(kPartitions, 64u << 20, 1u << 16);
     app::MicaBackend backend(store);
+    app::KvsServer kvs_server(tb.server(), backend);
 
-    rpc::RpcThreadedServer server(server_node);
-    for (unsigned p = 0; p < kPartitions; ++p)
-        server.addThread(p, cpus.core(1 + p).thread(0));
-    app::KvsServer kvs_server(server, backend);
-
-    rpc::RpcClient rpc_client(client_node, 0, cpus.core(0).thread(0));
-    rpc_client.setConnection(sys.connect(client_node, 0, server_node, 0,
-                                         nic::LbScheme::ObjectLevel));
+    rpc::RpcClient &rpc_client = tb.client();
     app::KvsClient kvs(rpc_client);
 
     // Tiny dataset, write-intensive mix, Zipf 0.99 (§5.6).

@@ -56,12 +56,7 @@ main()
         tn.server = std::make_unique<rpc::RpcThreadedServer>(
             *tn.server_node);
         tn.server->addThread(0, cpus.core(2 * t + 1).thread(0));
-        tn.server->registerHandler(1, [](const proto::RpcMessage &req) {
-            rpc::HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(60);
-            return out;
-        });
+        tn.server->registerHandler(1, rpc::echoHandler(sim::nsToTicks(60)));
     }
 
     // All tenants hammer the shared fabric simultaneously.

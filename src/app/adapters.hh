@@ -10,7 +10,6 @@
 #include "app/memcached.hh"
 #include "app/mica.hh"
 #include "mem/set_assoc_cache.hh"
-#include "nic/load_balancer.hh"
 #include "sim/event_queue.hh"
 
 namespace dagger::app {
@@ -26,31 +25,32 @@ class MicaBackend final : public KvBackend
     std::optional<std::string>
     kvGet(unsigned partition, std::string_view key, sim::Tick &cost) override
     {
-        cost = accessCost(key, /*is_get=*/true);
-        if (_store.partitionOf(key) != partition % _store.numPartitions())
+        const MicaKey k(key);
+        const unsigned caller = partition % _store.numPartitions();
+        cost = accessCost(k.hash, /*is_get=*/true);
+        if (_store.partitionOf(k) != caller)
             cost += _cost.crossPartitionPenalty;
-        return _store.get(partition % _store.numPartitions(), key);
+        return _store.get(caller, k);
     }
 
     bool
     kvSet(unsigned partition, std::string_view key, std::string_view value,
           sim::Tick &cost) override
     {
-        cost = accessCost(key, /*is_get=*/false);
-        if (_store.partitionOf(key) != partition % _store.numPartitions())
+        const MicaKey k(key);
+        const unsigned caller = partition % _store.numPartitions();
+        cost = accessCost(k.hash, /*is_get=*/false);
+        if (_store.partitionOf(k) != caller)
             cost += _cost.crossPartitionPenalty;
-        _store.set(partition % _store.numPartitions(), key, value);
+        _store.set(caller, k, value);
         return true;
     }
 
   private:
     sim::Tick
-    accessCost(std::string_view key, bool is_get)
+    accessCost(std::uint64_t key_hash, bool is_get)
     {
-        const std::uint64_t h = nic::ObjectLevelLb::hashKey(
-            reinterpret_cast<const std::uint8_t *>(key.data()),
-            key.size());
-        const bool hot = _llc.access(h);
+        const bool hot = _llc.access(key_hash);
         if (is_get)
             return hot ? _cost.hotGetCost : _cost.coldGetCost;
         return hot ? _cost.hotSetCost : _cost.coldSetCost;

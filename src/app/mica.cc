@@ -22,7 +22,7 @@ MicaPartition::MicaPartition(std::size_t log_bytes,
 }
 
 std::uint64_t
-MicaPartition::keyHash(std::string_view key) const
+MicaKey::hashOf(std::string_view key)
 {
     return nic::ObjectLevelLb::hashKey(
         reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
@@ -97,11 +97,11 @@ MicaPartition::readRecord(std::uint64_t offset, std::string_view key,
 }
 
 void
-MicaPartition::set(std::string_view key, std::string_view value)
+MicaPartition::set(const MicaKey &key, std::string_view value)
 {
     ++_stats.sets;
-    const std::uint64_t h = keyHash(key);
-    const std::uint64_t off = appendRecord(key, value);
+    const std::uint64_t h = key.hash;
+    const std::uint64_t off = appendRecord(key.bytes, value);
     Bucket &b = bucketFor(h);
     const std::uint16_t tag = tagOf(h);
 
@@ -126,17 +126,17 @@ MicaPartition::set(std::string_view key, std::string_view value)
 }
 
 std::optional<std::string>
-MicaPartition::get(std::string_view key)
+MicaPartition::get(const MicaKey &key)
 {
     ++_stats.gets;
-    const std::uint64_t h = keyHash(key);
+    const std::uint64_t h = key.hash;
     Bucket &b = bucketFor(h);
     const std::uint16_t tag = tagOf(h);
     for (IndexEntry &e : b.ways) {
         if (!e.valid || e.tag != tag)
             continue;
         std::string value;
-        if (readRecord(e.offset, key, value)) {
+        if (readRecord(e.offset, key.bytes, value)) {
             ++_stats.getHits;
             return value;
         }
@@ -147,16 +147,16 @@ MicaPartition::get(std::string_view key)
 }
 
 bool
-MicaPartition::erase(std::string_view key)
+MicaPartition::erase(const MicaKey &key)
 {
-    const std::uint64_t h = keyHash(key);
+    const std::uint64_t h = key.hash;
     Bucket &b = bucketFor(h);
     const std::uint16_t tag = tagOf(h);
     for (IndexEntry &e : b.ways) {
         if (!e.valid || e.tag != tag)
             continue;
         std::string value;
-        if (readRecord(e.offset, key, value)) {
+        if (readRecord(e.offset, key.bytes, value)) {
             e.valid = false;
             return true;
         }
@@ -174,17 +174,13 @@ MicaKvs::MicaKvs(unsigned partitions, std::size_t log_bytes_each,
 }
 
 unsigned
-MicaKvs::partitionOf(std::string_view key) const
+MicaKvs::partitionOf(const MicaKey &key) const
 {
-    return static_cast<unsigned>(
-        nic::ObjectLevelLb::hashKey(
-            reinterpret_cast<const std::uint8_t *>(key.data()),
-            key.size()) %
-        _parts.size());
+    return static_cast<unsigned>(key.hash % _parts.size());
 }
 
 void
-MicaKvs::set(unsigned caller_partition, std::string_view key,
+MicaKvs::set(unsigned caller_partition, const MicaKey &key,
              std::string_view value)
 {
     const unsigned owner = partitionOf(key);
@@ -195,7 +191,7 @@ MicaKvs::set(unsigned caller_partition, std::string_view key,
 }
 
 std::optional<std::string>
-MicaKvs::get(unsigned caller_partition, std::string_view key)
+MicaKvs::get(unsigned caller_partition, const MicaKey &key)
 {
     const unsigned owner = partitionOf(key);
     MicaPartition &p = _parts[owner];

@@ -15,6 +15,7 @@
 #ifndef DAGGER_APP_MICA_HH
 #define DAGGER_APP_MICA_HH
 
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +52,29 @@ struct MicaStats
 };
 
 /**
+ * A key with its FNV-1a hash, computed once per access.  It is the hash
+ * the NIC's Object-Level load balancer steers by; the owning partition,
+ * the index bucket and the tag all derive from it, and so does
+ * MicaBackend's LLC-residency model.  It views the caller's bytes, so
+ * it lives no longer than the access.
+ */
+struct MicaKey
+{
+    /** Hash anything that views as a string: a literal, a
+     *  std::string, a string_view or an app::HexKey. */
+    template <typename K>
+        requires std::convertible_to<const K &, std::string_view>
+    MicaKey(const K &key) : bytes(key), hash(hashOf(bytes))
+    {}
+
+    std::string_view bytes;
+    std::uint64_t hash;
+
+  private:
+    static std::uint64_t hashOf(std::string_view key);
+};
+
+/**
  * One MICA partition: lossy index + circular log.
  *
  * Like MICA's, both structures cost only what is written to them.  The
@@ -68,13 +92,13 @@ class MicaPartition
     MicaPartition(std::size_t log_bytes, std::size_t index_buckets);
 
     /** Insert or overwrite. Always succeeds (lossy semantics). */
-    void set(std::string_view key, std::string_view value);
+    void set(const MicaKey &key, std::string_view value);
 
     /** Fetch; nullopt on miss (never stored, displaced, or wrapped). */
-    std::optional<std::string> get(std::string_view key);
+    std::optional<std::string> get(const MicaKey &key);
 
     /** Remove (tombstone by index invalidation). */
-    bool erase(std::string_view key);
+    bool erase(const MicaKey &key);
 
     const MicaStats &stats() const { return _stats; }
     std::size_t logBytes() const { return _logBytes; }
@@ -120,7 +144,6 @@ class MicaPartition
         std::uint16_t valLen;
     };
 
-    std::uint64_t keyHash(std::string_view key) const;
     Bucket &bucketFor(std::uint64_t hash);
     static std::uint16_t tagOf(std::uint64_t hash);
 
@@ -163,7 +186,7 @@ class MicaKvs
             std::size_t index_buckets_each);
 
     /** Partition owning @p key. */
-    unsigned partitionOf(std::string_view key) const;
+    unsigned partitionOf(const MicaKey &key) const;
 
     /**
      * Access through a specific serving thread (EREW check): if
@@ -171,10 +194,10 @@ class MicaKvs
      * still works but is counted as a cross-partition violation —
      * this is what a round-robin balancer does to MICA (§5.7).
      */
-    void set(unsigned caller_partition, std::string_view key,
+    void set(unsigned caller_partition, const MicaKey &key,
              std::string_view value);
     std::optional<std::string> get(unsigned caller_partition,
-                                   std::string_view key);
+                                   const MicaKey &key);
 
     MicaPartition &partition(unsigned i);
     unsigned numPartitions() const

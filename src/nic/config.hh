@@ -47,7 +47,8 @@ struct NicConfig
     /** Per-flow RX ring capacity in 64 B entries. */
     std::size_t rxRingEntries = 256;
 
-    /** CPU-NIC interface flavour (Fig. 10 sweep). */
+    /** CPU-NIC interface flavour (Fig. 10 sweep); rpc::DaggerSystem's
+     *  addNode() sets it to the system's fabric. */
     ic::IfaceKind iface = ic::IfaceKind::Upi;
 
     /** NIC clock period: 200 MHz per Table 1. */

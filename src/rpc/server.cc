@@ -46,6 +46,17 @@ WorkerPool::runOne(std::uint32_t slot)
     fn();
 }
 
+Handler
+echoHandler(sim::Tick cost)
+{
+    return [cost](const proto::RpcMessage &req) {
+        HandlerOutcome out;
+        out.response = req.payload();
+        out.cost = cost;
+        return out;
+    };
+}
+
 RpcServerThread::RpcServerThread(DaggerNode &node, unsigned flow,
                                  HwThread &dispatch)
     : _node(node), _flow(flow), _dispatch(dispatch)

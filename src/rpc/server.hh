@@ -54,6 +54,9 @@ struct HandlerOutcome
 /** RPC handler: pure function of the request. */
 using Handler = std::function<HandlerOutcome(const proto::RpcMessage &)>;
 
+/** Handler that echoes the request payload after @p cost of CPU time. */
+Handler echoHandler(sim::Tick cost);
+
 /**
  * Admission control for a server thread.  Under open-loop overload an
  * unbounded request backlog turns every queued request into guaranteed

@@ -61,6 +61,9 @@ DaggerSystem::addNode(nic::NicConfig cfg, nic::SoftConfig soft)
     auto node = std::unique_ptr<DaggerNode>(new DaggerNode());
     node->_system = this;
     node->_id = static_cast<net::NodeId>(_nodes.size());
+    // One interface per system: the NIC's poll-mode management must
+    // act on the fabric the node is actually attached to.
+    cfg.iface = _fabric.kind();
 
     ic::CciPort &port = _fabric.addPort();
     net::SwitchPort &sw = _tor.attach(node->_id);

@@ -78,7 +78,11 @@ class DaggerSystem
     explicit DaggerSystem(ic::IfaceKind iface = ic::IfaceKind::Upi,
                           ic::UpiCost upi = {}, ic::PcieCost pcie = {});
 
-    /** Create a node (NIC instance + rings); returns a stable ref. */
+    /**
+     * Create a node (NIC instance + rings); returns a stable ref.  The
+     * node's NIC uses this system's interface whatever @p cfg.iface
+     * says.
+     */
     DaggerNode &addNode(nic::NicConfig cfg = {}, nic::SoftConfig soft = {});
 
     /**

@@ -16,6 +16,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -36,62 +37,47 @@ TEST(HexKey, MatchesPrintfFormat)
     }
 }
 
-struct KvsRig
+TestbedConfig
+config(unsigned server_flows, nic::LbScheme lb)
 {
-    explicit KvsRig(KvBackend &backend, unsigned server_flows = 1,
+    TestbedConfig cfg;
+    cfg.serverFlows = server_flows;
+    cfg.soft.autoBatch = true;
+    cfg.lb = lb;
+    return cfg;
+}
+
+/** The KVS client over a testbed whose server steers on 8 B keys. */
+struct KvsRig : Testbed
+{
+    explicit KvsRig(unsigned server_flows = 1,
                     nic::LbScheme lb = nic::LbScheme::ObjectLevel)
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2 + server_flows)
+        : Testbed(config(server_flows, lb)), kvs(client())
     {
-        nic::NicConfig ccfg;
-        ccfg.numFlows = 1;
-        nic::NicConfig scfg;
-        scfg.numFlows = server_flows;
-        nic::SoftConfig soft;
-        soft.autoBatch = true;
-
-        clientNode = &sys.addNode(ccfg, soft);
-        serverNode = &sys.addNode(scfg, soft);
-        serverNode->nicDev().setObjectLevelKey(0, 8);
-
-        client = std::make_unique<RpcClient>(*clientNode, 0,
-                                             cpus.core(0).thread(0));
-        client->setConnection(
-            sys.connect(*clientNode, 0, *serverNode, 0, lb));
-        kvs = std::make_unique<KvsClient>(*client);
-
-        server = std::make_unique<RpcThreadedServer>(*serverNode);
-        for (unsigned f = 0; f < server_flows; ++f)
-            server->addThread(f, cpus.core(1 + f).thread(0));
-        app = std::make_unique<KvsServer>(*server, backend);
+        serverNode().nicDev().setObjectLevelKey(0, 8);
     }
 
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *clientNode;
-    DaggerNode *serverNode;
-    std::unique_ptr<RpcClient> client;
-    std::unique_ptr<KvsClient> kvs;
-    std::unique_ptr<RpcThreadedServer> server;
-    std::unique_ptr<KvsServer> app;
+    KvsClient kvs;
 };
 
 TEST(KvsOverDagger, MicaSetThenGet)
 {
     MicaKvs store(1, 1 << 20, 1 << 10);
     MicaBackend backend(store);
-    KvsRig rig(backend);
+    KvsRig rig;
+    KvsServer app(rig.server(), backend);
 
     bool stored = false;
     std::string got;
-    rig.kvs->set("key00001", "hello", [&](bool ok) { stored = ok; });
-    rig.sys.eq().runFor(usToTicks(50));
+    rig.kvs.set("key00001", "hello", [&](bool ok) { stored = ok; });
+    rig.system().runFor(usToTicks(50));
     ASSERT_TRUE(stored);
 
-    rig.kvs->get("key00001", [&](bool hit, std::string_view v) {
+    rig.kvs.get("key00001", [&](bool hit, std::string_view v) {
         ASSERT_TRUE(hit);
         got.assign(v);
     });
-    rig.sys.eq().runFor(usToTicks(50));
+    rig.system().runFor(usToTicks(50));
     EXPECT_EQ(got, "hello");
 }
 
@@ -99,13 +85,14 @@ TEST(KvsOverDagger, GetMissReportsMiss)
 {
     MicaKvs store(1, 1 << 20, 1 << 10);
     MicaBackend backend(store);
-    KvsRig rig(backend);
+    KvsRig rig;
+    KvsServer app(rig.server(), backend);
     bool called = false, hit = true;
-    rig.kvs->get("missing1", [&](bool h, std::string_view) {
+    rig.kvs.get("missing1", [&](bool h, std::string_view) {
         called = true;
         hit = h;
     });
-    rig.sys.eq().runFor(usToTicks(50));
+    rig.system().runFor(usToTicks(50));
     ASSERT_TRUE(called);
     EXPECT_FALSE(hit);
 }
@@ -114,17 +101,18 @@ TEST(KvsOverDagger, ObjectLevelLbPreservesErewOnMica)
 {
     MicaKvs store(4, 1 << 20, 1 << 10);
     MicaBackend backend(store);
-    KvsRig rig(backend, 4, nic::LbScheme::ObjectLevel);
+    KvsRig rig(4, nic::LbScheme::ObjectLevel);
+    KvsServer app(rig.server(), backend);
 
     KvWorkload wl(200, 0.6, 0.0, kTiny); // all SETs
     int done = 0;
     for (int i = 0; i < 100; ++i) {
         KvOp op = wl.next();
-        rig.sys.eq().scheduleAt(usToTicks(i), [&rig, &done, op] {
-            rig.kvs->set(op.key, op.value, [&done](bool) { ++done; });
+        rig.system().eq().scheduleAt(usToTicks(i), [&rig, &done, op] {
+            rig.kvs.set(op.key, op.value, [&done](bool) { ++done; });
         });
     }
-    rig.sys.eq().runFor(usToTicks(400));
+    rig.system().runFor(usToTicks(400));
     EXPECT_EQ(done, 100);
     // Hardware steering matched store partitioning: no EREW violations.
     EXPECT_EQ(store.totalStats().crossPartition, 0u);
@@ -134,17 +122,18 @@ TEST(KvsOverDagger, RoundRobinLbViolatesErewOnMica)
 {
     MicaKvs store(4, 1 << 20, 1 << 10);
     MicaBackend backend(store);
-    KvsRig rig(backend, 4, nic::LbScheme::RoundRobin);
+    KvsRig rig(4, nic::LbScheme::RoundRobin);
+    KvsServer app(rig.server(), backend);
 
     KvWorkload wl(200, 0.6, 0.0, kTiny);
     int done = 0;
     for (int i = 0; i < 100; ++i) {
         KvOp op = wl.next();
-        rig.sys.eq().scheduleAt(usToTicks(i), [&rig, &done, op] {
-            rig.kvs->set(op.key, op.value, [&done](bool) { ++done; });
+        rig.system().eq().scheduleAt(usToTicks(i), [&rig, &done, op] {
+            rig.kvs.set(op.key, op.value, [&done](bool) { ++done; });
         });
     }
-    rig.sys.eq().runFor(usToTicks(400));
+    rig.system().runFor(usToTicks(400));
     EXPECT_EQ(done, 100);
     // Round-robin ignores key affinity: most accesses land wrong.
     EXPECT_GT(store.totalStats().crossPartition, 50u);
@@ -153,15 +142,11 @@ TEST(KvsOverDagger, RoundRobinLbViolatesErewOnMica)
 TEST(KvsOverDagger, MemcachedBackendIntegrity)
 {
     Memcached store(1 << 22);
-    // The backend needs the rig's event queue: build the rig with a
-    // placeholder backend, then re-attach a memcached-backed KvsServer
-    // (handler re-registration overwrites the placeholder's).
-    MicaKvs dummy(1, 1 << 20, 1 << 10);
-    MicaBackend dummy_backend(dummy);
-    KvsRig rig(dummy_backend);
+    // The backend reads expiry time from the rig's clock.
+    KvsRig rig;
     KvsRig *rig_ptr = &rig;
-    MemcachedBackend backend(store, rig.sys.eq());
-    KvsServer mc_app(*rig.server, backend);
+    MemcachedBackend backend(store, rig.system().eq());
+    KvsServer mc_app(rig.server(), backend);
 
     KvWorkload wl(500, 0.8, 0.0, kSmall);
     std::vector<KvOp> ops;
@@ -169,22 +154,22 @@ TEST(KvsOverDagger, MemcachedBackendIntegrity)
     for (int i = 0; i < 50; ++i) {
         ops.push_back(wl.next());
         const KvOp &op = ops.back();
-        rig_ptr->sys.eq().scheduleAt(usToTicks(i * 4), [&, op] {
-            rig_ptr->kvs->set(op.key, op.value,
-                              [&stored](bool) { ++stored; });
+        rig_ptr->system().eq().scheduleAt(usToTicks(i * 4), [&, op] {
+            rig_ptr->kvs.set(op.key, op.value,
+                             [&stored](bool) { ++stored; });
         });
     }
-    rig.sys.eq().runFor(usToTicks(400));
+    rig.system().runFor(usToTicks(400));
     EXPECT_EQ(stored, 50);
 
     int verified = 0;
     for (const KvOp &op : ops) {
-        rig.kvs->get(op.key, [&, op](bool hit, std::string_view v) {
+        rig.kvs.get(op.key, [&, op](bool hit, std::string_view v) {
             ASSERT_TRUE(hit) << op.key;
             EXPECT_EQ(std::string(v), wl.valueFor(op.key));
             ++verified;
         });
-        rig.sys.eq().runFor(usToTicks(30));
+        rig.system().runFor(usToTicks(30));
     }
     EXPECT_EQ(verified, 50);
 }

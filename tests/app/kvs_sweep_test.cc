@@ -16,6 +16,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 #include "svc/flight.hh"
 
 namespace {
@@ -39,24 +40,14 @@ TEST_P(KvsSweep, CompletionAndIntegrity)
     const auto [backend_kind, small, get_ratio] = GetParam();
     const DatasetShape shape = small ? kSmall : kTiny;
 
-    DaggerSystem sys(ic::IfaceKind::Upi);
-    CpuSet cpus(sys.eq(), 2);
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
-    nic::SoftConfig soft;
-    soft.autoBatch = true;
-
-    auto &cnode = sys.addNode(cfg, soft);
-    auto &snode = sys.addNode(cfg, soft);
+    TestbedConfig cfg;
+    cfg.soft.autoBatch = true;
+    cfg.lb = nic::LbScheme::ObjectLevel;
+    Testbed tb(cfg);
+    DaggerSystem &sys = tb.system();
+    DaggerNode &snode = tb.serverNode();
     snode.nicDev().setObjectLevelKey(0, shape.keyLen);
-
-    RpcClient client(cnode, 0, cpus.core(0).thread(0));
-    client.setConnection(
-        sys.connect(cnode, 0, snode, 0, nic::LbScheme::ObjectLevel));
-    KvsClient kvs(client);
-
-    RpcThreadedServer server(snode);
-    server.addThread(0, cpus.core(1).thread(0));
+    KvsClient kvs(tb.client());
 
     MicaKvs mica(1, 1u << 22, 1u << 12);
     Memcached mcd(8u << 20);
@@ -65,7 +56,7 @@ TEST_P(KvsSweep, CompletionAndIntegrity)
     KvBackend &backend = backend_kind == Backend::Mica
         ? static_cast<KvBackend &>(mica_backend)
         : static_cast<KvBackend &>(mcd_backend);
-    KvsServer app(server, backend);
+    KvsServer app(tb.server(), backend);
 
     KvWorkload wl(2000, 0.99, get_ratio, shape);
     // Warm every key so GET hits are checkable.

@@ -64,17 +64,15 @@ TEST(SweepRunner, DefaultJobsHonorsEnvOverride)
     EXPECT_GE(SweepRunner::defaultJobs(), 1u);
 }
 
-/** One fig11-style operating point: an isolated EchoRig load step. */
+/** One fig11-style operating point: an isolated testbed load step. */
 Point
 fig11Point(unsigned batch, double load_mrps)
 {
-    EchoRig::Options opt;
-    opt.batch = batch;
-    opt.autoBatch = batch == 0;
-    if (batch == 0)
-        opt.batch = 4;
-    opt.threads = 1;
-    EchoRig rig(opt);
+    rpc::TestbedConfig cfg = echoTestbed();
+    cfg.soft.autoBatch = batch == 0;
+    if (batch != 0)
+        cfg.soft.batchSize = batch;
+    rpc::Testbed rig(cfg);
     return rig.offer(load_mrps, sim::msToTicks(1), sim::msToTicks(2));
 }
 

@@ -9,9 +9,7 @@
 
 #include "idl/codegen.hh"
 #include "idl/parser.hh"
-#include "rpc/client.hh"
-#include "rpc/server.hh"
-#include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -119,20 +117,11 @@ TEST(IdlOptions, VoidRequestTypeStillRejected)
 TEST(IdlOptions, OneWayRuntimeSemantics)
 {
     using namespace dagger::rpc;
-    DaggerSystem sys(ic::IfaceKind::Upi);
-    CpuSet cpus(sys.eq(), 2);
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
-    auto &cnode = sys.addNode(cfg);
-    auto &snode = sys.addNode(cfg);
-    RpcClient client(cnode, 0, cpus.core(0).thread(0));
-    client.setConnection(
-        sys.connect(cnode, 0, snode, 0, nic::LbScheme::Static));
-    RpcThreadedServer server(snode);
-    server.addThread(0, cpus.core(1).thread(0));
+    Testbed tb(TestbedConfig{});
+    RpcClient &client = tb.client();
 
     std::uint64_t received = 0;
-    server.registerHandler(101, [&](const proto::RpcMessage &) {
+    tb.server().registerHandler(101, [&](const proto::RpcMessage &) {
         HandlerOutcome out;
         out.respond = false; // one-way
         out.cost = sim::nsToTicks(30);
@@ -147,13 +136,14 @@ TEST(IdlOptions, OneWayRuntimeSemantics)
     } s{7, 1.25};
     for (int i = 0; i < 25; ++i)
         client.callOneWay(101, &s, sizeof(s));
-    sys.eq().runFor(sim::usToTicks(200));
+    tb.system().runFor(sim::usToTicks(200));
 
     EXPECT_EQ(received, 25u);
     EXPECT_EQ(client.pendingCalls(), 0u); // no tracking state kept
     EXPECT_EQ(client.responses(), 0u);
     EXPECT_EQ(client.orphanResponses(), 0u);
-    EXPECT_EQ(snode.nicDev().monitor().rpcsOut.value(), 0u); // silence
+    // Silence: the server sent no response packets.
+    EXPECT_EQ(tb.serverNode().nicDev().monitor().rpcsOut.value(), 0u);
 }
 
 } // namespace

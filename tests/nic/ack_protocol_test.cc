@@ -13,6 +13,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -20,51 +21,33 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-struct AckRig
+TestbedConfig
+config()
+{
+    TestbedConfig cfg;
+    cfg.soft.autoBatch = true;
+    cfg.handler = echoHandler(sim::nsToTicks(40));
+    return cfg;
+}
+
+/** A testbed with an AckProtocol on each NIC. */
+struct AckRig : Testbed
 {
     /** @param mtu_frames  protocol fragmentation MTU (0 = no fragmenting) */
-    explicit AckRig(std::size_t mtu_frames = 0)
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
+    explicit AckRig(std::size_t mtu_frames = 0) : Testbed(config())
     {
-        nic::NicConfig cfg;
-        cfg.numFlows = 1;
-        nic::SoftConfig soft;
-        soft.autoBatch = true;
-
-        clientNode = &sys.addNode(cfg, soft);
-        serverNode = &sys.addNode(cfg, soft);
-
         auto cp = std::make_unique<nic::AckProtocol>(usToTicks(20), 4,
                                                      mtu_frames);
         clientAck = cp.get();
-        clientNode->nicDev().setProtocol(std::move(cp));
+        clientNode().nicDev().setProtocol(std::move(cp));
         auto sp = std::make_unique<nic::AckProtocol>(usToTicks(20), 4,
                                                      mtu_frames);
         serverAck = sp.get();
-        serverNode->nicDev().setProtocol(std::move(sp));
-
-        client = std::make_unique<RpcClient>(*clientNode, 0,
-                                             cpus.core(0).thread(0));
-        client->setConnection(sys.connect(*clientNode, 0, *serverNode, 0,
-                                          nic::LbScheme::Static));
-        server = std::make_unique<RpcThreadedServer>(*serverNode);
-        server->addThread(0, cpus.core(1).thread(0));
-        server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(40);
-            return out;
-        });
+        serverNode().nicDev().setProtocol(std::move(sp));
     }
 
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *clientNode;
-    DaggerNode *serverNode;
     nic::AckProtocol *clientAck;
     nic::AckProtocol *serverAck;
-    std::unique_ptr<RpcClient> client;
-    std::unique_ptr<RpcThreadedServer> server;
 };
 
 TEST(AckProtocol, TransparentOnLosslessNetwork)
@@ -73,10 +56,10 @@ TEST(AckProtocol, TransparentOnLosslessNetwork)
     std::uint64_t done = 0;
     for (int i = 0; i < 20; ++i) {
         std::uint64_t v = i;
-        rig.client->callPod(1, v,
-                            [&](const proto::RpcMessage &) { ++done; });
+        rig.client().callPod(1, v,
+                             [&](const proto::RpcMessage &) { ++done; });
     }
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
     EXPECT_EQ(done, 20u);
     // Every data packet was acked; nothing pending or retransmitted.
     EXPECT_EQ(rig.clientAck->unacked(), 0u);
@@ -95,8 +78,8 @@ TEST(AckProtocol, RetriesThenGivesUpOnPersistentLoss)
     rig.serverAck->dropNextIngress(1000);
     std::uint64_t done = 0;
     std::uint64_t v = 7;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
+    rig.system().runFor(usToTicks(500));
     EXPECT_EQ(done, 0u);
     EXPECT_EQ(rig.clientAck->retransmissions(), 4u); // max retries
     EXPECT_EQ(rig.clientAck->lost(), 1u);
@@ -111,13 +94,13 @@ TEST(AckProtocol, RecoversFromTransientLoss)
     rig.serverAck->dropNextIngress(2);
     std::uint64_t done = 0;
     std::uint64_t v = 9;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &resp) {
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &resp) {
         std::uint64_t out = 0;
         ASSERT_TRUE(resp.payloadAs(out));
         EXPECT_EQ(out, 9u);
         ++done;
     });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
     EXPECT_EQ(done, 1u);
     EXPECT_GE(rig.clientAck->retransmissions(), 2u);
     EXPECT_EQ(rig.clientAck->lost(), 0u);
@@ -128,9 +111,9 @@ TEST(AckProtocol, AckArrivesBeforeRetransmitTimer)
 {
     AckRig rig;
     std::uint64_t v = 1;
-    rig.client->callPod(1, v);
+    rig.client().callPod(1, v);
     // Run less than the 20us timer: the ACK (RTT ~2us) beats it.
-    rig.sys.eq().runFor(usToTicks(10));
+    rig.system().runFor(usToTicks(10));
     EXPECT_EQ(rig.clientAck->unacked(), 0u);
     EXPECT_EQ(rig.clientAck->retransmissions(), 0u);
 }
@@ -141,23 +124,23 @@ TEST(AckProtocol, AckFramesDoNotReachTheRpcLayer)
     std::uint64_t done = 0;
     for (int i = 0; i < 10; ++i) {
         std::uint64_t v = i;
-        rig.client->callPod(1, v,
-                            [&](const proto::RpcMessage &) { ++done; });
+        rig.client().callPod(1, v,
+                             [&](const proto::RpcMessage &) { ++done; });
     }
-    rig.sys.eq().runFor(usToTicks(300));
+    rig.system().runFor(usToTicks(300));
     EXPECT_EQ(done, 10u);
     // The server processed exactly the data RPCs (ACKs consumed by
     // the protocol before the pipeline).
-    EXPECT_EQ(rig.server->totalProcessed(), 10u);
-    EXPECT_EQ(rig.serverNode->nicDev().monitor().malformed.value(), 0u);
+    EXPECT_EQ(rig.server().totalProcessed(), 10u);
+    EXPECT_EQ(rig.serverNode().nicDev().monitor().malformed.value(), 0u);
 }
 
 TEST(AckProtocol, CountsAcksSymmetrically)
 {
     AckRig rig;
     std::uint64_t v = 3;
-    rig.client->callPod(1, v);
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.client().callPod(1, v);
+    rig.system().runFor(usToTicks(100));
     // One request (server acks it) + one response (client acks it).
     EXPECT_EQ(rig.serverAck->acksSent(), 1u);
     EXPECT_EQ(rig.clientAck->acksSent(), 1u);
@@ -172,21 +155,21 @@ TEST(AckProtocol, CountsAcksSymmetrically)
 TEST(AckProtocol, DelayedAckTriggersRetransmitButNoDuplicateDelivery)
 {
     AckRig rig;
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.clientNode->id()));
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.clientNode().id()));
     // First packet to arrive at the client is the request's ACK;
     // hold it past the 20us retransmit timer.
     fi.scriptDelay(1, usToTicks(30));
 
     std::uint64_t done = 0;
     std::uint64_t v = 11;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
+    rig.system().runFor(usToTicks(500));
 
     EXPECT_EQ(done, 1u);
     EXPECT_EQ(rig.clientAck->retransmissions(), 1u);
     // The duplicate was re-ACKed, never re-delivered.
-    EXPECT_EQ(rig.server->totalProcessed(), 1u);
+    EXPECT_EQ(rig.server().totalProcessed(), 1u);
     EXPECT_GE(rig.serverAck->dupSuppressed(), 1u);
     EXPECT_EQ(rig.clientAck->unacked(), 0u);
     EXPECT_EQ(rig.serverAck->unacked(), 0u);
@@ -200,8 +183,8 @@ TEST(AckProtocol, DelayedAckTriggersRetransmitButNoDuplicateDelivery)
 TEST(AckProtocol, DroppedMiddleFragmentRetransmitsAndDeliversOnce)
 {
     AckRig rig(/*mtu_frames=*/1); // every frame is its own packet
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.serverNode->id()));
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.serverNode().id()));
     fi.scriptDrop(2); // the middle fragment of the 3-packet request
 
     struct Big
@@ -212,20 +195,20 @@ TEST(AckProtocol, DroppedMiddleFragmentRetransmitsAndDeliversOnce)
         big.bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
 
     std::uint64_t done = 0;
-    rig.client->callPod(1, big, [&](const proto::RpcMessage &resp) {
+    rig.client().callPod(1, big, [&](const proto::RpcMessage &resp) {
         Big out{};
         ASSERT_TRUE(resp.payloadAs(out));
         EXPECT_EQ(out.bytes, big.bytes); // intact after reassembly
         ++done;
     });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     EXPECT_EQ(done, 1u);
     // Only the dropped fragment was resent, and the message was
     // delivered exactly once.
     EXPECT_EQ(rig.clientAck->retransmissions(), 1u);
     EXPECT_EQ(rig.clientAck->lost(), 0u);
-    EXPECT_EQ(rig.server->totalProcessed(), 1u);
+    EXPECT_EQ(rig.server().totalProcessed(), 1u);
     EXPECT_EQ(rig.clientAck->unacked(), 0u);
     EXPECT_EQ(rig.serverAck->unacked(), 0u);
 }
@@ -239,18 +222,18 @@ TEST(AckProtocol, LostAckRetransmitIsDeduplicated)
 
     std::uint64_t done = 0;
     std::uint64_t v = 5;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &resp) {
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &resp) {
         std::uint64_t out = 0;
         ASSERT_TRUE(resp.payloadAs(out));
         EXPECT_EQ(out, 5u);
         ++done;
     });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     EXPECT_EQ(done, 1u);
     EXPECT_EQ(rig.clientAck->retransmissions(), 1u);
     EXPECT_EQ(rig.serverAck->dupSuppressed(), 1u);
-    EXPECT_EQ(rig.server->totalProcessed(), 1u);
+    EXPECT_EQ(rig.server().totalProcessed(), 1u);
     EXPECT_EQ(rig.clientAck->unacked(), 0u);
 }
 
@@ -264,12 +247,12 @@ TEST(AckProtocol, AckLossExhaustionReportsLostAndReclaimsPending)
 
     std::uint64_t done = 0;
     std::uint64_t v = 6;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
+    rig.system().runFor(usToTicks(500));
 
     // The data (and the response) went through exactly once...
     EXPECT_EQ(done, 1u);
-    EXPECT_EQ(rig.server->totalProcessed(), 1u);
+    EXPECT_EQ(rig.server().totalProcessed(), 1u);
     EXPECT_EQ(rig.serverAck->dupSuppressed(), 4u); // every retransmit
     // ...but the sender, deaf to ACKs, exhausted its budget.
     EXPECT_EQ(rig.clientAck->retransmissions(), 4u);
@@ -283,24 +266,24 @@ TEST(AckProtocol, AckLossExhaustionReportsLostAndReclaimsPending)
 TEST(AckProtocol, CorruptedFrameLooksLikeLossAndRecovers)
 {
     AckRig rig;
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.serverNode->id()));
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.serverNode().id()));
     fi.scriptCorrupt(1); // flip a payload byte of the request
 
     std::uint64_t done = 0;
     std::uint64_t v = 8;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &resp) {
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &resp) {
         std::uint64_t out = 0;
         ASSERT_TRUE(resp.payloadAs(out));
         EXPECT_EQ(out, 8u); // the clean retransmission won
         ++done;
     });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     EXPECT_EQ(done, 1u);
     EXPECT_EQ(rig.serverAck->corruptDropped(), 1u);
     EXPECT_EQ(rig.clientAck->retransmissions(), 1u);
-    EXPECT_EQ(rig.server->totalProcessed(), 1u);
+    EXPECT_EQ(rig.server().totalProcessed(), 1u);
 }
 
 // Regression (hash quality): the pre-fix mix shifted the 32-bit conn

@@ -10,6 +10,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -17,56 +18,38 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-struct NicRig
+TestbedConfig
+config(unsigned batch, bool auto_batch)
+{
+    TestbedConfig cfg;
+    cfg.soft.batchSize = batch;
+    cfg.soft.autoBatch = auto_batch;
+    cfg.handler = echoHandler(sim::nsToTicks(20));
+    return cfg;
+}
+
+struct NicRig : Testbed
 {
     explicit NicRig(unsigned batch, bool auto_batch = false)
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
-    {
-        nic::NicConfig cfg;
-        cfg.numFlows = 1;
-        nic::SoftConfig soft;
-        soft.batchSize = batch;
-        soft.autoBatch = auto_batch;
-
-        clientNode = &sys.addNode(cfg, soft);
-        serverNode = &sys.addNode(cfg, soft);
-        client = std::make_unique<RpcClient>(*clientNode, 0,
-                                             cpus.core(0).thread(0));
-        client->setConnection(sys.connect(*clientNode, 0, *serverNode, 0,
-                                          nic::LbScheme::Static));
-        server = std::make_unique<RpcThreadedServer>(*serverNode);
-        server->addThread(0, cpus.core(1).thread(0));
-        server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(20);
-            return out;
-        });
-    }
+        : Testbed(config(batch, auto_batch))
+    {}
 
     void
     sendBurst(int n)
     {
         for (int i = 0; i < n; ++i) {
             std::uint64_t v = i;
-            client->callPod(1, v);
+            client().callPod(kEchoFn, v);
         }
     }
-
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *clientNode;
-    DaggerNode *serverNode;
-    std::unique_ptr<RpcClient> client;
-    std::unique_ptr<RpcThreadedServer> server;
 };
 
 TEST(NicBatching, BurstsFormFullBatches)
 {
     NicRig rig(4);
     rig.sendBurst(16); // enough for 4 full batches
-    rig.sys.eq().runFor(usToTicks(200));
-    const auto &mon = rig.clientNode->nicDev().monitor();
+    rig.system().runFor(usToTicks(200));
+    const auto &mon = rig.clientNode().nicDev().monitor();
     EXPECT_EQ(mon.framesFetched.value(), 16u);
     // Full batches form (the pipeline's drain tail may flush a few
     // partial ones on timeout, but never more than one per stage).
@@ -79,26 +62,26 @@ TEST(NicBatching, PartialBatchFlushesOnTimeout)
 {
     NicRig rig(4);
     rig.sendBurst(3); // never fills a batch of 4
-    rig.sys.eq().runFor(usToTicks(200));
-    const auto &mon = rig.clientNode->nicDev().monitor();
+    rig.system().runFor(usToTicks(200));
+    const auto &mon = rig.clientNode().nicDev().monitor();
     EXPECT_EQ(mon.framesFetched.value(), 3u);
     EXPECT_GE(mon.timeoutFlushes.value(), 1u);
-    EXPECT_EQ(rig.client->responses(), 3u); // still delivered
+    EXPECT_EQ(rig.client().responses(), 3u); // still delivered
 }
 
 TEST(NicBatching, TimeoutBoundsBatchLatency)
 {
     NicRig rig(8);
     std::uint64_t v = 1;
-    rig.client->callPod(1, v);
-    rig.sys.eq().runFor(usToTicks(100));
-    EXPECT_EQ(rig.client->responses(), 1u);
+    rig.client().callPod(1, v);
+    rig.system().runFor(usToTicks(100));
+    EXPECT_EQ(rig.client().responses(), 1u);
     // One lonely request: RTT = base + up to 2 batch timeouts (the
     // request and the response each wait once) + the cold HCC fills
     // of a first-touch connection, but no more.
-    const auto rtt = rig.client->latency().percentile(50);
+    const auto rtt = rig.client().latency().percentile(50);
     const auto timeout =
-        rig.clientNode->nicDev().softConfig().batchTimeout;
+        rig.clientNode().nicDev().softConfig().batchTimeout;
     EXPECT_LT(rtt, usToTicks(4.5) + 4 * timeout);
 }
 
@@ -106,18 +89,18 @@ TEST(NicBatching, AutoBatchSkipsTimeouts)
 {
     NicRig rig(4, /*auto_batch=*/true);
     rig.sendBurst(3);
-    rig.sys.eq().runFor(usToTicks(100));
-    const auto &mon = rig.clientNode->nicDev().monitor();
+    rig.system().runFor(usToTicks(100));
+    const auto &mon = rig.clientNode().nicDev().monitor();
     EXPECT_EQ(mon.timeoutFlushes.value(), 0u);
-    EXPECT_EQ(rig.client->responses(), 3u);
+    EXPECT_EQ(rig.client().responses(), 3u);
 }
 
 TEST(NicRings, BookkeepingReleasesTxEntries)
 {
     NicRig rig(1);
     rig.sendBurst(5);
-    auto &tx = rig.clientNode->flow(0).tx;
-    rig.sys.eq().runFor(usToTicks(100));
+    auto &tx = rig.clientNode().flow(0).tx;
+    rig.system().runFor(usToTicks(100));
     // After the run everything was fetched and released.
     EXPECT_EQ(tx.used(), 0u);
     EXPECT_EQ(tx.pendingFrames(), 0u);
@@ -128,16 +111,16 @@ TEST(NicRings, BookkeepingReleasesTxEntries)
 TEST(NicPolling, SwitchesToLlcUnderLoad)
 {
     NicRig rig(4);
-    auto &port = rig.clientNode->nicDev().cciPort();
+    auto &port = rig.clientNode().nicDev().cciPort();
     EXPECT_EQ(port.pollMode(), ic::PollMode::LocalCache);
     // Drive a sustained ~6 Mrps burst (above the 4 Mrps threshold).
     for (int i = 0; i < 300; ++i) {
-        rig.sys.eq().scheduleAt(sim::nsToTicks(160.0 * i), [&rig, i] {
+        rig.system().eq().scheduleAt(sim::nsToTicks(160.0 * i), [&rig, i] {
             std::uint64_t v = i;
-            rig.client->callPod(1, v);
+            rig.client().callPod(1, v);
         });
     }
-    rig.sys.eq().runFor(usToTicks(60));
+    rig.system().runFor(usToTicks(60));
     EXPECT_EQ(port.pollMode(), ic::PollMode::Llc);
 }
 
@@ -145,13 +128,13 @@ TEST(NicPolling, StaysLocalAtLightLoad)
 {
     NicRig rig(4);
     for (int i = 0; i < 20; ++i) {
-        rig.sys.eq().scheduleAt(usToTicks(10.0 * i), [&rig, i] {
+        rig.system().eq().scheduleAt(usToTicks(10.0 * i), [&rig, i] {
             std::uint64_t v = i;
-            rig.client->callPod(1, v);
+            rig.client().callPod(1, v);
         });
     }
-    rig.sys.eq().runFor(usToTicks(400));
-    EXPECT_EQ(rig.clientNode->nicDev().cciPort().pollMode(),
+    rig.system().runFor(usToTicks(400));
+    EXPECT_EQ(rig.clientNode().nicDev().cciPort().pollMode(),
               ic::PollMode::LocalCache);
 }
 
@@ -181,12 +164,7 @@ TEST(NicVirtualization, TenantsIsolatedAndFair)
             sys.connect(*t[i].c, 0, *t[i].s, 0, nic::LbScheme::Static));
         t[i].server = std::make_unique<RpcThreadedServer>(*t[i].s);
         t[i].server->addThread(0, cpus.core(2 * i + 1).thread(0));
-        t[i].server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = 0;
-            return out;
-        });
+        t[i].server->registerHandler(1, echoHandler(0));
     }
     for (int n = 0; n < 100; ++n) {
         for (int i = 0; i < 2; ++i) {
@@ -207,8 +185,8 @@ TEST(NicMonitor, CountsBytesAndRpcs)
 {
     NicRig rig(1);
     rig.sendBurst(4);
-    rig.sys.eq().runFor(usToTicks(100));
-    const auto &mon = rig.clientNode->nicDev().monitor();
+    rig.system().runFor(usToTicks(100));
+    const auto &mon = rig.clientNode().nicDev().monitor();
     EXPECT_EQ(mon.rpcsOut.value(), 4u);
     EXPECT_EQ(mon.rpcsIn.value(), 4u); // responses
     EXPECT_EQ(mon.bytesOut.value(), 4 * 64u);

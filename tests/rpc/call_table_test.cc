@@ -22,6 +22,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -29,48 +30,36 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-constexpr proto::FnId kEcho = 1;
+constexpr proto::FnId kEcho = kEchoFn;
 constexpr proto::FnId kSlowEcho = 2;
 constexpr proto::FnId kSink = 3;
 
-/** Client node (1 flow) and a server node whose every flow echoes. */
-struct TableRig
+TestbedConfig
+config(unsigned server_flows, std::size_t tx_ring)
+{
+    TestbedConfig cfg;
+    cfg.serverFlows = server_flows;
+    cfg.txRingEntries = tx_ring;
+    cfg.handler = echoHandler(sim::nsToTicks(40));
+    return cfg;
+}
+
+/**
+ * One client flow and @p server_flows server flows; every server flow
+ * echoes kEcho, echoes kSlowEcho after 20us and swallows kSink.
+ */
+struct TableRig : Testbed
 {
     explicit TableRig(unsigned server_flows = 1,
-                      nic::NicConfig client_cfg = {},
-                      nic::SoftConfig client_soft = {})
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 4)
+                      std::size_t tx_ring = TestbedConfig{}.txRingEntries)
+        : Testbed(config(server_flows, tx_ring))
     {
-        client_cfg.numFlows = 1;
-        nic::NicConfig server_cfg;
-        server_cfg.numFlows = server_flows;
-        cnode = &sys.addNode(client_cfg, client_soft);
-        snode = &sys.addNode(server_cfg);
-        server = std::make_unique<RpcThreadedServer>(*snode);
-        for (unsigned f = 0; f < server_flows; ++f)
-            server->addThread(f, cpus.core(1 + f).thread(0));
-        server->registerHandler(kEcho, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(40);
-            return out;
-        });
-        server->registerHandler(kSlowEcho,
-                                [](const proto::RpcMessage &req) {
-                                    HandlerOutcome out;
-                                    out.response = req.payload();
-                                    out.cost = usToTicks(20);
-                                    return out;
-                                });
-        server->registerHandler(kSink, [](const proto::RpcMessage &) {
+        server().registerHandler(kSlowEcho, echoHandler(usToTicks(20)));
+        server().registerHandler(kSink, [](const proto::RpcMessage &) {
             HandlerOutcome out;
             out.respond = false;
             return out;
         });
-        client = std::make_unique<RpcClient>(*cnode, 0,
-                                             cpus.core(0).thread(0));
-        client->setConnection(
-            sys.connect(*cnode, 0, *snode, 0, nic::LbScheme::Static));
     }
 
     /** Run until @p done holds (bounded). */
@@ -79,16 +68,9 @@ struct TableRig
     runUntil(Pred done)
     {
         for (int i = 0; i < 100000 && !done(); ++i)
-            sys.eq().runFor(usToTicks(1));
+            system().runFor(usToTicks(1));
         ASSERT_TRUE(done());
     }
-
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *cnode;
-    DaggerNode *snode;
-    std::unique_ptr<RpcThreadedServer> server;
-    std::unique_ptr<RpcClient> client;
 };
 
 std::uint64_t
@@ -102,7 +84,7 @@ valueOf(const proto::RpcMessage &m)
 TEST(CallTable, LateResponseForReusedSlotCompletesNothing)
 {
     TableRig rig;
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     RetryPolicy policy;
     policy.timeout = usToTicks(100);
     policy.maxRetries = 0;
@@ -110,8 +92,8 @@ TEST(CallTable, LateResponseForReusedSlotCompletesNothing)
     // Hold the first response to reach the client for 180us: past
     // call 1's timeout, but before the timeout of call 17, which
     // shares call 1's slot in the 16-entry table.
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.cnode->id()));
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.clientNode().id()));
     fi.scriptDelay(1, usToTicks(180));
 
     std::vector<CallStatus> first;
@@ -136,7 +118,7 @@ TEST(CallTable, LateResponseForReusedSlotCompletesNothing)
     }
     // Call 17 takes call 1's old slot and stays pending: the server
     // stops popping requests.
-    rig.server->serverThread(0).pause();
+    rig.server().serverThread(0).pause();
     std::vector<std::uint64_t> got17;
     cli.callPodStatus(kEcho, std::uint64_t{17},
                       [&](CallStatus st, const proto::RpcMessage &resp) {
@@ -149,7 +131,7 @@ TEST(CallTable, LateResponseForReusedSlotCompletesNothing)
     EXPECT_EQ(cli.pendingCalls(), 1u);
     EXPECT_EQ(cli.orphanResponses(), 0u);
 
-    rig.server->serverThread(0).resume();
+    rig.server().serverThread(0).resume();
     rig.runUntil([&] { return !got17.empty(); });
     EXPECT_EQ(got17, std::vector<std::uint64_t>{17});
     EXPECT_EQ(first.size(), 1u);
@@ -166,9 +148,9 @@ TEST(CallTable, LongPendingCallDisplacesLaterIds)
     // each group completes, the erase must shift the others back or
     // they could no longer be found.
     TableRig rig;
-    RpcClient &cli = *rig.client;
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.cnode->id()));
+    RpcClient &cli = rig.client();
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.clientNode().id()));
     fi.scriptDelay(1, usToTicks(300));
 
     std::vector<std::uint64_t> got;
@@ -198,10 +180,10 @@ TEST(CallTable, CompletionsArriveOutOfOrder)
     // Two connections from the client's one flow: server flow 0 runs
     // the slow handler, server flow 1 the fast one.
     TableRig rig(2);
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     const proto::ConnId slow = cli.connection();
-    const proto::ConnId fast = rig.sys.connect(*rig.cnode, 0, *rig.snode, 1,
-                                               nic::LbScheme::Static);
+    const proto::ConnId fast = rig.system().connect(
+        rig.clientNode(), 0, rig.serverNode(), 1, nic::LbScheme::Static);
     std::vector<std::uint64_t> order;
     for (std::uint64_t v = 1; v <= 8; ++v) {
         const bool is_slow = v % 2 == 1;
@@ -222,7 +204,7 @@ TEST(CallTable, CompletionsArriveOutOfOrder)
 TEST(CallTable, GrowsWhileCallsArePending)
 {
     TableRig rig;
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     constexpr std::uint64_t kCalls = 200;
     std::vector<std::uint64_t> seen(kCalls + 1, 0);
     for (std::uint64_t v = 1; v <= kCalls; ++v)
@@ -241,7 +223,7 @@ TEST(CallTable, GrowsWhileCallsArePending)
 TEST(CallTable, PendingCallsStaysExact)
 {
     TableRig rig;
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     std::uint64_t issued = 0, completed = 0;
     std::function<void()> issue = [&] {
         const std::uint64_t v = ++issued;
@@ -255,7 +237,7 @@ TEST(CallTable, PendingCallsStaysExact)
     for (int w = 0; w < 24; ++w)
         issue();
     while (completed < issued) {
-        rig.sys.eq().runFor(usToTicks(3));
+        rig.system().runFor(usToTicks(3));
         EXPECT_EQ(cli.pendingCalls(), issued - completed);
     }
     EXPECT_EQ(completed, 3000u);
@@ -267,14 +249,11 @@ TEST(CallTable, ResendAfterFullRingFirstSendCarriesPayload)
     // An 8-entry TX ring that the NIC drains only on its batch
     // timeout: one-way filler occupies every entry, so the tracked
     // call's first push finds the ring full and a re-attempt sends it.
-    nic::NicConfig cfg;
-    cfg.txRingEntries = 8;
-    nic::SoftConfig soft;
+    TableRig rig(1, /*tx_ring=*/8);
+    nic::SoftConfig &soft = rig.clientNode().nicDev().softConfig();
     soft.batchSize = 64;
-    soft.autoBatch = false;
     soft.batchTimeout = usToTicks(35);
-    TableRig rig(1, cfg, soft);
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 5;

@@ -12,6 +12,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -19,82 +20,58 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-struct PoolRig
+constexpr unsigned kFlows = 4;
+
+/** One client and one server thread per flow, echoing on fn 1. */
+TestbedConfig
+poolConfig()
 {
-    static constexpr unsigned kFlows = 4;
-
-    PoolRig() : sys(ic::IfaceKind::Upi), cpus(sys.eq(), kFlows + 2)
-    {
-        nic::NicConfig cfg;
-        cfg.numFlows = kFlows;
-        cnode = &sys.addNode(cfg);
-        snode = &sys.addNode(cfg);
-
-        server = std::make_unique<RpcThreadedServer>(*snode);
-        for (unsigned f = 0; f < kFlows; ++f)
-            server->addThread(f, cpus.core(1 + f).thread(0));
-        server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(40);
-            return out;
-        });
-
-        pool = std::make_unique<RpcClientPool>(*cnode);
-        for (unsigned f = 0; f < kFlows; ++f) {
-            auto &cli = pool->addClient(f, cpus.core(0).thread(f % 2));
-            cli.setConnection(
-                sys.connect(*cnode, f, *snode, f, nic::LbScheme::Static));
-        }
-    }
-
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *cnode;
-    DaggerNode *snode;
-    std::unique_ptr<RpcThreadedServer> server;
-    std::unique_ptr<RpcClientPool> pool;
-};
+    TestbedConfig cfg;
+    cfg.clientFlows = kFlows;
+    cfg.serverFlows = kFlows;
+    cfg.handler = echoHandler(sim::nsToTicks(40));
+    return cfg;
+}
 
 TEST(RpcClientPool, ProvisionsOneClientPerFlow)
 {
-    PoolRig rig;
-    EXPECT_EQ(rig.pool->size(), PoolRig::kFlows);
-    for (unsigned f = 0; f < PoolRig::kFlows; ++f)
-        EXPECT_EQ(rig.pool->client(f).flow(), f);
-    EXPECT_EQ(&rig.pool->node(), rig.cnode);
+    Testbed rig(poolConfig());
+    EXPECT_EQ(rig.clients().size(), kFlows);
+    for (unsigned f = 0; f < kFlows; ++f)
+        EXPECT_EQ(rig.clients().client(f).flow(), f);
+    EXPECT_EQ(&rig.clients().node(), &rig.clientNode());
 }
 
 TEST(RpcClientPool, ConcurrentCallsAcrossFlowsAllComplete)
 {
-    PoolRig rig;
+    Testbed rig(poolConfig());
     std::uint64_t done = 0;
     for (int i = 0; i < 40; ++i) {
         std::uint64_t v = i;
-        rig.pool->client(i % PoolRig::kFlows)
+        rig.clients().client(i % kFlows)
             .callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
     }
-    rig.sys.eq().runFor(usToTicks(300));
+    rig.system().runFor(usToTicks(300));
     EXPECT_EQ(done, 40u);
-    EXPECT_EQ(rig.pool->totalResponses(), 40u);
+    EXPECT_EQ(rig.clients().totalResponses(), 40u);
     // Every server thread served its static flow.
-    for (unsigned f = 0; f < PoolRig::kFlows; ++f)
-        EXPECT_EQ(rig.server->serverThread(f).processed(), 10u);
+    for (unsigned f = 0; f < kFlows; ++f)
+        EXPECT_EQ(rig.server().serverThread(f).processed(), 10u);
 }
 
 TEST(RpcClientPool, AggregateLatencyMergesAllClients)
 {
-    PoolRig rig;
+    Testbed rig(poolConfig());
     for (int i = 0; i < 20; ++i) {
         std::uint64_t v = i;
-        rig.pool->client(i % PoolRig::kFlows).callPod(1, v);
+        rig.clients().client(i % kFlows).callPod(1, v);
     }
-    rig.sys.eq().runFor(usToTicks(300));
-    sim::Histogram agg = rig.pool->aggregateLatency();
+    rig.system().runFor(usToTicks(300));
+    sim::Histogram agg = rig.clients().aggregateLatency();
     EXPECT_EQ(agg.count(), 20u);
     std::uint64_t sum = 0;
-    for (unsigned f = 0; f < PoolRig::kFlows; ++f)
-        sum += rig.pool->client(f).latency().count();
+    for (unsigned f = 0; f < kFlows; ++f)
+        sum += rig.clients().client(f).latency().count();
     EXPECT_EQ(sum, 20u);
     // Aggregate median is a plausible RTT.
     EXPECT_GT(agg.percentile(50), usToTicks(1.0));
@@ -103,20 +80,20 @@ TEST(RpcClientPool, AggregateLatencyMergesAllClients)
 
 TEST(RpcClientPool, FlowsAreIndependentUnderImbalance)
 {
-    PoolRig rig;
+    Testbed rig(poolConfig());
     // Flood flow 0 only; flow 3 stays fast.
     std::uint64_t done0 = 0, done3 = 0;
     for (int i = 0; i < 200; ++i) {
         std::uint64_t v = i;
-        rig.pool->client(0).callPod(
+        rig.clients().client(0).callPod(
             1, v, [&](const proto::RpcMessage &) { ++done0; });
     }
     std::uint64_t v3 = 7;
-    rig.pool->client(3).callPod(
+    rig.clients().client(3).callPod(
         1, v3, [&](const proto::RpcMessage &) { ++done3; });
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.system().runFor(usToTicks(100));
     EXPECT_EQ(done3, 1u); // not stuck behind flow 0's backlog
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
     EXPECT_EQ(done0, 200u);
 }
 
@@ -126,19 +103,19 @@ TEST(RpcClientPool, FlowsAreIndependentUnderImbalance)
 // switching best-effort back off no response was ever processed again.
 TEST(RpcClient, BestEffortToggleRestoresResponseProcessing)
 {
-    PoolRig rig;
-    RpcClient &cli = rig.pool->client(0);
+    Testbed rig(poolConfig());
+    RpcClient &cli = rig.clients().client(0);
 
     cli.setBestEffort(true);
     for (int i = 0; i < 5; ++i) {
         std::uint64_t v = i;
         cli.callPod(1, v); // fire-and-forget; responses pile up
     }
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.system().runFor(usToTicks(100));
     EXPECT_EQ(cli.responses(), 0u); // nothing tracked, nothing drained
 
     cli.setBestEffort(false);
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.system().runFor(usToTicks(100));
     // The piled-up best-effort responses drained (as orphans: they
     // were never tracked)...
     EXPECT_EQ(cli.orphanResponses(), 5u);
@@ -152,19 +129,19 @@ TEST(RpcClient, BestEffortToggleRestoresResponseProcessing)
         EXPECT_EQ(out, 77u);
         ++done;
     });
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.system().runFor(usToTicks(100));
     EXPECT_EQ(done, 1u);
     EXPECT_EQ(cli.responses(), 1u);
 }
 
 TEST(RpcClient, RetryResendsLostRequestAndCompletesOk)
 {
-    PoolRig rig;
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.snode->id()));
+    Testbed rig(poolConfig());
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.serverNode().id()));
     fi.scriptDrop(1); // lose the first copy of the request
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.clients().client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(30);
     policy.maxRetries = 3;
@@ -180,14 +157,14 @@ TEST(RpcClient, RetryResendsLostRequestAndCompletesOk)
                           EXPECT_EQ(out, 21u);
                           ++ok;
                       });
-    rig.sys.eq().runFor(usToTicks(300));
+    rig.system().runFor(usToTicks(300));
 
     EXPECT_EQ(ok, 1u);
     EXPECT_EQ(cli.retriesSent(), 1u);
     EXPECT_EQ(cli.timeouts(), 0u);
     EXPECT_EQ(cli.pendingCalls(), 0u);
     // The system-wide reliability counters saw the retry + completion.
-    const std::string json = rig.sys.metrics().renderJson();
+    const std::string json = rig.system().metrics().renderJson();
     EXPECT_NE(json.find("\"rpc.reliability.retries\": 1"),
               std::string::npos);
     EXPECT_NE(json.find("\"rpc.reliability.timeouts\": 0"),
@@ -196,13 +173,13 @@ TEST(RpcClient, RetryResendsLostRequestAndCompletesOk)
 
 TEST(RpcClient, RetryBudgetExhaustionSurfacesTimedOut)
 {
-    PoolRig rig;
+    Testbed rig(poolConfig());
     net::FaultSpec spec;
     spec.dropP = 1.0; // a dead link: nothing reaches the server
-    net::FaultInjector fi(rig.sys.eq(), spec);
-    fi.install(rig.sys.tor().attach(rig.snode->id()));
+    net::FaultInjector fi(rig.system().eq(), spec);
+    fi.install(rig.system().tor().attach(rig.serverNode().id()));
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.clients().client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 2;
@@ -216,7 +193,7 @@ TEST(RpcClient, RetryBudgetExhaustionSurfacesTimedOut)
                           EXPECT_EQ(resp.payloadLen(), 0u); // empty
                           ++timed_out;
                       });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     EXPECT_EQ(timed_out, 1u); // fired exactly once, not per retry
     EXPECT_EQ(cli.timeouts(), 1u);
@@ -226,12 +203,12 @@ TEST(RpcClient, RetryBudgetExhaustionSurfacesTimedOut)
 
 TEST(RpcClient, LateResponseAfterTimeoutIsAccountedNotOrphaned)
 {
-    PoolRig rig;
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.cnode->id()));
+    Testbed rig(poolConfig());
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.clientNode().id()));
     fi.scriptDelay(1, usToTicks(100)); // hold the response way too long
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.clients().client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 0; // no resends: time out on first expiry
@@ -244,7 +221,7 @@ TEST(RpcClient, LateResponseAfterTimeoutIsAccountedNotOrphaned)
                           if (st == CallStatus::TimedOut)
                               ++timed_out;
                       });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     EXPECT_EQ(timed_out, 1u);
     // The response eventually arrived — after the call completed as
@@ -256,13 +233,13 @@ TEST(RpcClient, LateResponseAfterTimeoutIsAccountedNotOrphaned)
 
 TEST(RpcClient, ExponentialBackoffStretchesRetryGaps)
 {
-    PoolRig rig;
+    Testbed rig(poolConfig());
     net::FaultSpec spec;
     spec.dropP = 1.0;
-    net::FaultInjector fi(rig.sys.eq(), spec);
-    fi.install(rig.sys.tor().attach(rig.snode->id()));
+    net::FaultInjector fi(rig.system().eq(), spec);
+    fi.install(rig.system().tor().attach(rig.serverNode().id()));
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.clients().client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(10);
     policy.maxRetries = 3;
@@ -274,9 +251,9 @@ TEST(RpcClient, ExponentialBackoffStretchesRetryGaps)
     std::uint64_t v = 1;
     cli.callPodStatus(1, v,
                       [&](CallStatus, const proto::RpcMessage &) {
-                          finished = rig.sys.eq().now();
+                          finished = rig.system().eq().now();
                       });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     // Gaps: 10, 20, 25 (capped from 40), 25 (capped from 80) -> 80us,
     // measured from when the first copy reached the TX ring (the

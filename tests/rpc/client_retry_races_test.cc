@@ -23,6 +23,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -30,53 +31,37 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-/** Two-node rig with configurable rings/batching on the client NIC. */
-struct RaceRig
+TestbedConfig
+config(std::size_t tx_ring)
 {
-    explicit RaceRig(nic::NicConfig client_cfg = {},
-                     nic::SoftConfig client_soft = {})
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 4)
-    {
-        client_cfg.numFlows = 1;
-        nic::NicConfig server_cfg;
-        server_cfg.numFlows = 1;
-        cnode = &sys.addNode(client_cfg, client_soft);
-        snode = &sys.addNode(server_cfg);
+    TestbedConfig cfg;
+    cfg.txRingEntries = tx_ring;
+    cfg.handler = echoHandler(sim::nsToTicks(40));
+    return cfg;
+}
 
-        server = std::make_unique<RpcThreadedServer>(*snode);
-        server->addThread(0, cpus.core(1).thread(0));
-        server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(40);
-            return out;
-        });
-        // One-way filler traffic: consumed, never answered.
-        server->registerHandler(2, [](const proto::RpcMessage &) {
+/**
+ * One client flow over @p tx_ring-entry TX rings; fn 1 echoes, fn 2
+ * swallows one-way filler traffic.
+ */
+struct RaceRig : Testbed
+{
+    explicit RaceRig(std::size_t tx_ring = TestbedConfig{}.txRingEntries)
+        : Testbed(config(tx_ring))
+    {
+        server().registerHandler(2, [](const proto::RpcMessage &) {
             HandlerOutcome out;
             out.respond = false;
             out.cost = sim::nsToTicks(10);
             return out;
         });
-
-        client = std::make_unique<RpcClient>(*cnode, 0,
-                                             cpus.core(0).thread(0));
-        client->setConnection(
-            sys.connect(*cnode, 0, *snode, 0, nic::LbScheme::Static));
     }
-
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *cnode;
-    DaggerNode *snode;
-    std::unique_ptr<RpcThreadedServer> server;
-    std::unique_ptr<RpcClient> client;
 };
 
 TEST(RetryRaces, SaturatedThreadDoesNotFireSpuriousRetransmit)
 {
     RaceRig rig;
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 3;
@@ -96,7 +81,7 @@ TEST(RetryRaces, SaturatedThreadDoesNotFireSpuriousRetransmit)
                           EXPECT_EQ(out, 7u);
                           ++ok;
                       });
-    rig.sys.eq().runFor(usToTicks(500));
+    rig.system().runFor(usToTicks(500));
 
     // The call completes exactly once, with no retransmit: the timer
     // armed at sentAt (after the backlog drained), not at issue time.
@@ -106,7 +91,7 @@ TEST(RetryRaces, SaturatedThreadDoesNotFireSpuriousRetransmit)
     EXPECT_EQ(cli.pendingCalls(), 0u);
     // The would-have-been-spurious arming is accounted distinctly.
     EXPECT_EQ(cli.spuriousArms(), 1u);
-    const std::string json = rig.sys.metrics().renderJson();
+    const std::string json = rig.system().metrics().renderJson();
     EXPECT_NE(json.find("\"rpc.reliability.spurious_arms\": 1"),
               std::string::npos);
     EXPECT_NE(json.find("\"rpc.reliability.retries\": 0"),
@@ -116,7 +101,7 @@ TEST(RetryRaces, SaturatedThreadDoesNotFireSpuriousRetransmit)
 TEST(RetryRaces, FastSendDoesNotCountSpuriousArm)
 {
     RaceRig rig;
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     cli.setRetryPolicy(policy);
@@ -125,7 +110,7 @@ TEST(RetryRaces, FastSendDoesNotCountSpuriousArm)
     std::uint64_t v = 9;
     cli.callPodStatus(1, v,
                       [&](CallStatus, const proto::RpcMessage &) { ++ok; });
-    rig.sys.eq().runFor(usToTicks(200));
+    rig.system().runFor(usToTicks(200));
 
     EXPECT_EQ(ok, 1u);
     EXPECT_EQ(cli.spuriousArms(), 0u);
@@ -136,21 +121,18 @@ TEST(RetryRaces, RingFullResendReattemptsAndDeliversExactlyOnce)
     // Tiny TX ring that drains slowly: a large batch with a long
     // batch timeout keeps pushed frames parked in the ring, so the
     // timeout-path resend meets a full ring deterministically.
-    nic::NicConfig cfg;
-    cfg.txRingEntries = 4;
-    nic::SoftConfig soft;
+    RaceRig rig(/*tx_ring=*/4);
+    nic::SoftConfig &soft = rig.clientNode().nicDev().softConfig();
     soft.batchSize = 64;
-    soft.autoBatch = false;
     soft.batchTimeout = usToTicks(35);
-    RaceRig rig(cfg, soft);
 
     // Lose the first copy of the tracked request so its retry timer
     // fires while the ring is still full of one-way traffic.
-    net::FaultInjector fi(rig.sys.eq());
-    fi.install(rig.sys.tor().attach(rig.snode->id()));
+    net::FaultInjector fi(rig.system().eq());
+    fi.install(rig.system().tor().attach(rig.serverNode().id()));
     fi.scriptDrop(1);
 
-    RpcClient &cli = *rig.client;
+    RpcClient &cli = rig.client();
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 5;
@@ -173,7 +155,7 @@ TEST(RetryRaces, RingFullResendReattemptsAndDeliversExactlyOnce)
         std::uint64_t w = 100 + i;
         cli.callOneWay(2, &w, sizeof(w));
     }
-    rig.sys.eq().runFor(usToTicks(1000));
+    rig.system().runFor(usToTicks(1000));
 
     // Eventual delivery, exactly-once completion: the resend that met
     // the full ring re-attempted on the short timer instead of
@@ -183,7 +165,7 @@ TEST(RetryRaces, RingFullResendReattemptsAndDeliversExactlyOnce)
     EXPECT_EQ(cli.timeouts(), 0u);
     EXPECT_EQ(cli.orphanResponses(), 0u);
     EXPECT_GE(cli.resendDrops(), 1u);
-    const std::string json = rig.sys.metrics().renderJson();
+    const std::string json = rig.system().metrics().renderJson();
     EXPECT_EQ(json.find("\"rpc.reliability.resend_drops\": 0"),
               std::string::npos);
 }

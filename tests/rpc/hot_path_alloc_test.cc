@@ -29,9 +29,7 @@
 
 #include "app/adapters.hh"
 #include "app/mica.hh"
-#include "rpc/client.hh"
-#include "rpc/server.hh"
-#include "rpc/system.hh"
+#include "rpc/testbed.hh"
 #include "svc/flight.hh"
 
 namespace {
@@ -61,7 +59,16 @@ namespace {
 using namespace dagger;
 using namespace dagger::rpc;
 
-constexpr proto::FnId kEcho = 1;
+/** One client flow over @p ring-entry rings, echoed after 10 ns. */
+TestbedConfig
+echoConfig(std::size_t ring)
+{
+    TestbedConfig cfg;
+    cfg.txRingEntries = ring;
+    cfg.rxRingEntries = ring;
+    cfg.handler = echoHandler(sim::nsToTicks(10));
+    return cfg;
+}
 
 /**
  * Closed-loop echo over UPI: one client flow keeps @p window calls in
@@ -72,28 +79,9 @@ class EchoLoop
   public:
     EchoLoop(std::size_t payload, unsigned window, std::size_t ring,
              RetryPolicy retry = {})
-        : _sys(ic::IfaceKind::Upi), _cpus(_sys.eq(), 2), _buf(payload)
+        : _tb(echoConfig(ring)), _buf(payload)
     {
-        nic::NicConfig cfg;
-        cfg.numFlows = 1;
-        cfg.iface = ic::IfaceKind::Upi;
-        cfg.txRingEntries = ring;
-        cfg.rxRingEntries = ring;
-        DaggerNode &cn = _sys.addNode(cfg);
-        DaggerNode &sn = _sys.addNode(cfg);
-        _server = std::make_unique<RpcThreadedServer>(sn);
-        _server->addThread(0, _cpus.core(1).thread(0));
-        _server->registerHandler(kEcho, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(10);
-            return out;
-        });
-        _client =
-            std::make_unique<RpcClient>(cn, 0, _cpus.core(0).thread(0));
-        _client->setConnection(
-            _sys.connect(cn, 0, sn, 0, nic::LbScheme::Static));
-        _client->setRetryPolicy(retry);
+        _tb.client().setRetryPolicy(retry);
         for (std::size_t i = 0; i < payload; ++i)
             _buf[i] = static_cast<std::uint8_t>(i * 7 + 1);
         for (unsigned w = 0; w < window; ++w)
@@ -106,19 +94,21 @@ class EchoLoop
     {
         const std::uint64_t target = _completed + n;
         while (_completed < target)
-            _sys.runFor(sim::usToTicks(5));
+            _tb.system().runFor(sim::usToTicks(5));
     }
 
     std::uint64_t completed() const { return _completed; }
     std::uint64_t mismatches() const { return _mismatches; }
-    RpcClient &client() { return *_client; }
+    RpcClient &client() { return _tb.client(); }
+    DaggerSystem &system() { return _tb.system(); }
 
   private:
     void
     issue()
     {
-        _client->callAsync(kEcho, _buf.data(), _buf.size(),
-                           [this](const proto::RpcMessage &m) { done(m); });
+        _tb.client().callAsync(
+            kEchoFn, _buf.data(), _buf.size(),
+            [this](const proto::RpcMessage &m) { done(m); });
     }
 
     void
@@ -130,10 +120,7 @@ class EchoLoop
         issue();
     }
 
-    DaggerSystem _sys;
-    CpuSet _cpus;
-    std::unique_ptr<RpcThreadedServer> _server;
-    std::unique_ptr<RpcClient> _client;
+    Testbed _tb;
     std::vector<std::uint8_t> _buf;
     std::uint64_t _completed = 0;
     std::uint64_t _mismatches = 0;
@@ -206,6 +193,48 @@ TEST(HotPathAlloc, BulkEchoAllocationsDoNotGrowWithFrames)
         << "2 KB: " << per_small << " allocs/RPC, 4 KB: " << per_large;
     EXPECT_EQ(small.mismatches(), 0u);
     EXPECT_EQ(large.mismatches(), 0u);
+}
+
+/** Events executed and calls completed over one simulated window. */
+struct WindowCount
+{
+    std::uint64_t events = 0;
+    std::uint64_t completions = 0;
+};
+
+/** Counts while @p loop runs @p window more simulated time. */
+WindowCount
+countOver(EchoLoop &loop, sim::Tick window)
+{
+    const std::uint64_t e0 = loop.system().eventsExecuted();
+    const std::uint64_t c0 = loop.completed();
+    loop.system().runFor(window);
+    return {loop.system().eventsExecuted() - e0, loop.completed() - c0};
+}
+
+// The event gates: the simulation is deterministic, so the events and
+// completions of a fixed steady-state window are exact numbers, in
+// every build type.  The event counts are the bound a change may only
+// lower; one that adds an event per RPC, or per frame, fails here.
+
+TEST(HotPathEvents, SmallEchoEventsPerWindowAreExact)
+{
+    EchoLoop loop(proto::kFramePayload, 96, 512);
+    loop.system().runFor(sim::msToTicks(1)); // warm-up
+    const WindowCount n = countOver(loop, sim::msToTicks(1));
+    EXPECT_EQ(n.completions, 12346u);
+    EXPECT_EQ(n.events, 160492u); // 13.0 per RPC
+    EXPECT_EQ(loop.mismatches(), 0u);
+}
+
+TEST(HotPathEvents, BulkEchoEventsPerWindowAreExact)
+{
+    EchoLoop loop(4096, 8, 2048);
+    loop.system().runFor(sim::msToTicks(1)); // warm-up
+    const WindowCount n = countOver(loop, sim::msToTicks(1));
+    EXPECT_EQ(n.completions, 417u);
+    EXPECT_EQ(n.events, 115142u); // 276.1 per RPC
+    EXPECT_EQ(loop.mismatches(), 0u);
 }
 
 TEST(SetupAlloc, FlightAppCostsNoAllocationPerRecord)

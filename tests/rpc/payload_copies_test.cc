@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
+#include <vector>
 
 #include "bench/harness.hh"
 #include "proto/payload.hh"
@@ -33,18 +35,23 @@ struct RunStats
 RunStats
 runEcho(std::size_t payload)
 {
-    bench::EchoRig::Options opt;
-    opt.threads = 1;
-    opt.payload = payload;
     const unsigned window = 8;
 
-    bench::EchoRig rig(opt);
+    rpc::Testbed rig(bench::echoTestbed());
+    rpc::RpcClient &cli = rig.client();
+    const std::vector<std::uint8_t> data(payload, 0x5a);
+    std::function<void()> fire = [&] {
+        cli.callAsync(rpc::kEchoFn, data.data(), data.size(),
+                      [&](const proto::RpcMessage &) { fire(); });
+    };
     const proto::PayloadStats before = proto::payloadStats();
-    rig.saturate(window, sim::msToTicks(1), sim::msToTicks(4));
+    for (unsigned w = 0; w < window; ++w)
+        fire();
+    rig.system().runFor(sim::msToTicks(5));
     const proto::PayloadStats after = proto::payloadStats();
 
     RunStats out;
-    out.completions = rig.client(0).responses();
+    out.completions = cli.responses();
     EXPECT_GT(out.completions, 100u) << payload;
     out.bytesPerRpc =
         static_cast<double>(after.bytesCopied - before.bytesCopied) /

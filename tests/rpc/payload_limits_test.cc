@@ -20,21 +20,20 @@ namespace {
 
 using namespace dagger;
 
-bench::EchoRig::Options
-bigRingOptions()
+rpc::TestbedConfig
+bigRingConfig()
 {
-    bench::EchoRig::Options opt;
-    opt.threads = 1;
+    rpc::TestbedConfig cfg = bench::echoTestbed();
     // A kMaxPayloadBytes message spans 1366 frames; give the rings
     // room so the boundary case exercises the wire, not ring backpressure.
-    opt.txRingEntries = 4096;
-    opt.rxRingEntries = 4096;
-    return opt;
+    cfg.txRingEntries = 4096;
+    cfg.rxRingEntries = 4096;
+    return cfg;
 }
 
 TEST(PayloadLimits, OversizeCallIsRejectedRecoverably)
 {
-    bench::EchoRig rig(bigRingOptions());
+    rpc::Testbed rig(bigRingConfig());
     rpc::RpcClient &cli = rig.client(0);
     std::vector<std::uint8_t> data(proto::kMaxPayloadBytes + 1, 0x7e);
 
@@ -67,7 +66,7 @@ TEST(PayloadLimits, OversizeCallIsRejectedRecoverably)
 
 TEST(PayloadLimits, OversizeOneWayCountsSendFailure)
 {
-    bench::EchoRig rig(bigRingOptions());
+    rpc::Testbed rig(bigRingConfig());
     rpc::RpcClient &cli = rig.client(0);
     std::vector<std::uint8_t> data(proto::kMaxPayloadBytes + 1, 0x7e);
     cli.callOneWay(3, data.data(), data.size());
@@ -78,7 +77,7 @@ TEST(PayloadLimits, OversizeOneWayCountsSendFailure)
 
 TEST(PayloadLimits, BoundaryPayloadTravelsEndToEnd)
 {
-    bench::EchoRig rig(bigRingOptions());
+    rpc::Testbed rig(bigRingConfig());
     rpc::RpcClient &cli = rig.client(0);
     std::vector<std::uint8_t> data(proto::kMaxPayloadBytes);
     for (std::size_t i = 0; i < data.size(); ++i)

@@ -21,9 +21,7 @@
 #include <vector>
 
 #include "bench/harness.hh"
-#include "rpc/client.hh"
-#include "rpc/server.hh"
-#include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -68,29 +66,17 @@ struct SweepVerdict
 SweepVerdict
 runSweepPoint(const SweepParam &param)
 {
-    DaggerSystem sys(param.iface);
-    CpuSet cpus(sys.eq(), 2);
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
+    TestbedConfig cfg;
     cfg.iface = param.iface;
     cfg.txRingEntries = param.ring;
     cfg.rxRingEntries = param.ring;
-    nic::SoftConfig soft;
-    soft.batchSize = param.batch;
-
-    auto &cnode = sys.addNode(cfg, soft);
-    auto &snode = sys.addNode(cfg, soft);
-    RpcClient client(cnode, 0, cpus.core(0).thread(0));
-    client.setConnection(
-        sys.connect(cnode, 0, snode, 0, nic::LbScheme::Static));
-    RpcThreadedServer server(snode);
-    server.addThread(0, cpus.core(1).thread(0));
-    server.registerHandler(1, [](const proto::RpcMessage &req) {
-        HandlerOutcome out;
-        out.response = req.payload();
-        out.cost = sim::nsToTicks(25);
-        return out;
-    });
+    cfg.soft.batchSize = param.batch;
+    cfg.handler = echoHandler(sim::nsToTicks(25));
+    Testbed tb(cfg);
+    DaggerSystem &sys = tb.system();
+    DaggerNode &cnode = tb.clientNode();
+    DaggerNode &snode = tb.serverNode();
+    RpcClient &client = tb.client();
 
     constexpr int kN = 300;
     SweepVerdict v;
@@ -107,7 +93,7 @@ runSweepPoint(const SweepParam &param)
             for (std::size_t b = 0; b < payload; ++b)
                 data[b] = static_cast<std::uint8_t>(i + b);
             client.callAsync(
-                1, data.data(), data.size(),
+                kEchoFn, data.data(), data.size(),
                 [&, i, data](const proto::RpcMessage &resp) {
                     ++completed;
                     if (resp.payload() != data)
@@ -185,33 +171,19 @@ class DoorbellBatchLatency : public ::testing::TestWithParam<unsigned>
 TEST_P(DoorbellBatchLatency, TimeoutBoundsSingleRequestRtt)
 {
     const unsigned batch = GetParam();
-    DaggerSystem sys(ic::IfaceKind::DoorbellBatch);
-    CpuSet cpus(sys.eq(), 2);
-    nic::NicConfig cfg;
-    cfg.numFlows = 1;
+    TestbedConfig cfg;
     cfg.iface = ic::IfaceKind::DoorbellBatch;
-    nic::SoftConfig soft;
-    soft.batchSize = batch;
-
-    auto &cnode = sys.addNode(cfg, soft);
-    auto &snode = sys.addNode(cfg, soft);
-    RpcClient client(cnode, 0, cpus.core(0).thread(0));
-    client.setConnection(
-        sys.connect(cnode, 0, snode, 0, nic::LbScheme::Static));
-    RpcThreadedServer server(snode);
-    server.addThread(0, cpus.core(1).thread(0));
-    server.registerHandler(1, [](const proto::RpcMessage &req) {
-        HandlerOutcome out;
-        out.response = req.payload();
-        return out;
-    });
+    cfg.soft.batchSize = batch;
+    cfg.handler = echoHandler(0);
+    Testbed tb(cfg);
+    RpcClient &client = tb.client();
 
     std::uint64_t v = 1;
-    client.callPod(1, v);
-    sys.eq().runFor(usToTicks(100));
+    client.callPod(kEchoFn, v);
+    tb.system().runFor(usToTicks(100));
     ASSERT_EQ(client.responses(), 1u);
     const auto rtt = client.latency().percentile(50);
-    const auto timeout = cnode.nicDev().softConfig().batchTimeout;
+    const auto timeout = tb.clientNode().nicDev().softConfig().batchTimeout;
     // A lone request waits at most one batch timeout per crossing,
     // plus the first-touch cold HCC fills.
     EXPECT_LT(rtt, usToTicks(6.0) + 4 * timeout) << "batch=" << batch;

@@ -6,13 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
-#include "rpc/client.hh"
 #include "rpc/report.hh"
-#include "rpc/server.hh"
-#include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -20,50 +17,19 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-struct ReportRig
-{
-    ReportRig() : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
-    {
-        nic::NicConfig cfg;
-        cfg.numFlows = 2;
-        cnode = &sys.addNode(cfg);
-        snode = &sys.addNode(cfg);
-        client = std::make_unique<RpcClient>(*cnode, 0,
-                                             cpus.core(0).thread(0));
-        client->setConnection(sys.connect(*cnode, 0, *snode, 0));
-        server = std::make_unique<RpcThreadedServer>(*snode);
-        server->addThread(0, cpus.core(1).thread(0));
-        server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(20);
-            return out;
-        });
-    }
-
-    void
-    traffic(int n)
-    {
-        for (int i = 0; i < n; ++i) {
-            std::uint64_t v = static_cast<std::uint64_t>(i);
-            client->callPod(1, v);
-        }
-        sys.eq().runFor(usToTicks(300));
-    }
-
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *cnode;
-    DaggerNode *snode;
-    std::unique_ptr<RpcClient> client;
-    std::unique_ptr<RpcThreadedServer> server;
-};
-
 TEST(Report, JsonExportsHiddenDetailMetrics)
 {
-    ReportRig rig;
-    rig.traffic(5);
-    const std::string json = reportSystemJson(rig.sys);
+    TestbedConfig cfg;
+    cfg.clientFlows = 2;
+    cfg.serverFlows = 2;
+    cfg.handler = echoHandler(sim::nsToTicks(20));
+    Testbed rig(cfg);
+    for (int i = 0; i < 5; ++i) {
+        std::uint64_t v = static_cast<std::uint64_t>(i);
+        rig.client().callPod(kEchoFn, v);
+    }
+    rig.system().runFor(usToTicks(300));
+    const std::string json = reportSystemJson(rig.system());
     EXPECT_NE(json.find("\"time_us\""), std::string::npos);
     EXPECT_NE(json.find("\"node0.nic.rpcs_out\""), std::string::npos);
     EXPECT_NE(json.find("\"tor.forwarded\""), std::string::npos);

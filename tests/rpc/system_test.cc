@@ -10,6 +10,7 @@
 #include "rpc/report.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
+#include "rpc/testbed.hh"
 
 namespace {
 
@@ -17,57 +18,39 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-struct SysRig
+/** One client and one server flow, echoing on fn 1. */
+TestbedConfig
+config()
 {
-    SysRig() : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
-    {
-        nic::NicConfig cfg;
-        cfg.numFlows = 1;
-        cnode = &sys.addNode(cfg);
-        snode = &sys.addNode(cfg);
-        client = std::make_unique<RpcClient>(*cnode, 0,
-                                             cpus.core(0).thread(0));
-        server = std::make_unique<RpcThreadedServer>(*snode);
-        server->addThread(0, cpus.core(1).thread(0));
-        server->registerHandler(1, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(20);
-            return out;
-        });
-    }
-
-    DaggerSystem sys;
-    CpuSet cpus;
-    DaggerNode *cnode;
-    DaggerNode *snode;
-    std::unique_ptr<RpcClient> client;
-    std::unique_ptr<RpcThreadedServer> server;
-};
+    TestbedConfig cfg;
+    cfg.handler = echoHandler(sim::nsToTicks(20));
+    return cfg;
+}
 
 TEST(DaggerSystem, DisconnectStopsTraffic)
 {
-    SysRig rig;
-    auto conn = rig.sys.connect(*rig.cnode, 0, *rig.snode, 0);
-    rig.client->setConnection(conn);
+    Testbed rig(config());
+    auto conn = rig.system().connect(rig.clientNode(), 0, rig.serverNode(), 0);
+    rig.client().setConnection(conn);
     std::uint64_t done = 0;
     std::uint64_t v = 1;
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
+    rig.system().runFor(usToTicks(100));
     ASSERT_EQ(done, 1u);
 
-    rig.sys.disconnect(conn);
-    rig.client->callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.system().disconnect(conn);
+    rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
+    rig.system().runFor(usToTicks(100));
     EXPECT_EQ(done, 1u); // second call never completed
-    EXPECT_EQ(rig.cnode->nicDev().monitor().dropsNoConnection.value(), 1u);
+    EXPECT_EQ(
+        rig.clientNode().nicDev().monitor().dropsNoConnection.value(), 1u);
 }
 
 TEST(DaggerSystem, ConnectionIdsAreSequentialAndDistinct)
 {
-    SysRig rig;
-    auto a = rig.sys.connect(*rig.cnode, 0, *rig.snode, 0);
-    auto b = rig.sys.connect(*rig.cnode, 0, *rig.snode, 0);
+    Testbed rig(config());
+    auto a = rig.system().connect(rig.clientNode(), 0, rig.serverNode(), 0);
+    auto b = rig.system().connect(rig.clientNode(), 0, rig.serverNode(), 0);
     EXPECT_NE(a, b);
     EXPECT_EQ(b, a + 1);
 }
@@ -88,28 +71,38 @@ TEST(DaggerSystem, SendCpuCostTracksInterfaceAndBatch)
     EXPECT_GT(mmio.sendCpuCost(nm), upi.sendCpuCost(n1));
 }
 
+TEST(DaggerSystem, NodesUseTheSystemInterface)
+{
+    // A default NicConfig says Upi; the node's NIC must still drive the
+    // fabric it is attached to, or its poll-mode management would act
+    // on a port of another interface.
+    DaggerSystem sys(ic::IfaceKind::DoorbellBatch);
+    auto &node = sys.addNode({});
+    EXPECT_EQ(node.nicDev().config().iface, ic::IfaceKind::DoorbellBatch);
+}
+
 TEST(DaggerSystem, SrqSharedClientChargesLockCost)
 {
     // Two logical connections over one client (SRQ): lock cost makes
     // the shared client's per-send CPU strictly larger, observable as
     // lower saturation throughput.
     auto run = [](bool shared) {
-        SysRig rig;
-        rig.client->setConnection(
-            rig.sys.connect(*rig.cnode, 0, *rig.snode, 0));
-        rig.client->setSharedByThreads(shared);
+        Testbed rig(config());
+        rig.client().setConnection(
+            rig.system().connect(rig.clientNode(), 0, rig.serverNode(), 0));
+        rig.client().setSharedByThreads(shared);
         int done = 0;
         std::function<void()> fire = [&] {
             std::uint64_t v = 1;
-            rig.client->callPod(1, v,
-                                [&](const proto::RpcMessage &) {
-                                    ++done;
-                                    fire();
-                                });
+            rig.client().callPod(1, v,
+                                 [&](const proto::RpcMessage &) {
+                                     ++done;
+                                     fire();
+                                 });
         };
         for (int w = 0; w < 32; ++w)
             fire();
-        rig.sys.eq().runFor(sim::msToTicks(3));
+        rig.system().runFor(sim::msToTicks(3));
         return done;
     };
     EXPECT_GT(run(false), run(true));
@@ -117,31 +110,27 @@ TEST(DaggerSystem, SrqSharedClientChargesLockCost)
 
 TEST(DaggerSystem, OrphanResponsesCounted)
 {
-    SysRig rig;
+    Testbed rig(config());
     // Two clients alternate on the same flow: the second client's
     // responses arrive at a ring the first client polls -> orphans.
-    rig.client->setConnection(
-        rig.sys.connect(*rig.cnode, 0, *rig.snode, 0));
     // Craft an orphan by injecting a response for an unknown rpc id.
-    proto::RpcMessage fake(rig.client->connection(), 4242, 1,
+    proto::RpcMessage fake(rig.client().connection(), 4242, 1,
                            proto::MsgType::Response, "x", 1);
-    rig.cnode->flow(0).rx.deliver(fake.toFrames());
-    rig.sys.eq().runFor(usToTicks(50));
-    EXPECT_EQ(rig.client->orphanResponses(), 1u);
+    rig.clientNode().flow(0).rx.deliver(fake.toFrames());
+    rig.system().runFor(usToTicks(50));
+    EXPECT_EQ(rig.client().orphanResponses(), 1u);
 }
 
 TEST(DaggerSystem, ReportContainsKeyCounters)
 {
-    SysRig rig;
-    rig.client->setConnection(
-        rig.sys.connect(*rig.cnode, 0, *rig.snode, 0));
+    Testbed rig(config());
     for (int i = 0; i < 5; ++i) {
         std::uint64_t v = i;
-        rig.client->callPod(1, v);
+        rig.client().callPod(1, v);
     }
-    rig.sys.eq().runFor(usToTicks(200));
+    rig.system().runFor(usToTicks(200));
 
-    const std::string report = reportSystemJson(rig.sys);
+    const std::string report = reportSystemJson(rig.system());
     EXPECT_NE(report.find("\"tor.forwarded\""), std::string::npos);
     EXPECT_NE(report.find("\"node0.nic.conn_cache.hit_rate\""),
               std::string::npos);
@@ -152,23 +141,21 @@ TEST(DaggerSystem, ReportContainsKeyCounters)
 
 TEST(DaggerSystem, CompletionContinuationFires)
 {
-    SysRig rig;
-    rig.client->setConnection(
-        rig.sys.connect(*rig.cnode, 0, *rig.snode, 0));
+    Testbed rig(config());
     int via_continuation = 0;
-    rig.client->completions().setContinuation(
+    rig.client().completions().setContinuation(
         [&](const proto::RpcMessage &) { ++via_continuation; });
     std::uint64_t v = 5;
-    rig.client->callPod(1, v); // no per-call callback
-    rig.sys.eq().runFor(usToTicks(100));
+    rig.client().callPod(1, v); // no per-call callback
+    rig.system().runFor(usToTicks(100));
     EXPECT_EQ(via_continuation, 1);
-    EXPECT_EQ(rig.client->completions().size(), 0u); // consumed
+    EXPECT_EQ(rig.client().completions().size(), 0u); // consumed
 }
 
 TEST(DaggerSystemDeath, DisconnectUnknownConnection)
 {
-    SysRig rig;
-    EXPECT_DEATH(rig.sys.disconnect(999), "unknown connection");
+    Testbed rig(config());
+    EXPECT_DEATH(rig.system().disconnect(999), "unknown connection");
 }
 
 } // namespace

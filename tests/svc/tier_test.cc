@@ -39,13 +39,8 @@ TEST(Tier, ConnectToWiresDownstream)
     TierRig rig;
     Tier front(rig.sys, "front", rig.cpus.core(0).thread(0), 1);
     Tier back(rig.sys, "back", rig.cpus.core(1).thread(0), 0);
-    back.serverThread().registerHandler(
-        kFn, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = sim::nsToTicks(100);
-            return out;
-        });
+    back.serverThread().registerHandler(kFn,
+                                        echoHandler(sim::nsToTicks(100)));
 
     auto &client = front.connectTo(back);
     int done = 0;
@@ -77,13 +72,7 @@ TEST(Tier, WorkerPoolMovesHandlerOffDispatch)
     back.useWorkerPool({&rig.cpus.core(2).thread(0)});
     ASSERT_NE(back.workerPool(), nullptr);
 
-    back.serverThread().registerHandler(
-        kFn, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = usToTicks(5);
-            return out;
-        });
+    back.serverThread().registerHandler(kFn, echoHandler(usToTicks(5)));
     auto &client = front.connectTo(back);
     int done = 0;
     for (int i = 0; i < 10; ++i) {
@@ -106,12 +95,7 @@ TEST(Tier, ThreeTierChainOverVirtualizedNics)
     Tier b(rig.sys, "b", rig.cpus.core(1).thread(0), 1);
     Tier c(rig.sys, "c", rig.cpus.core(2).thread(0), 0);
 
-    c.serverThread().registerHandler(kFn, [](const proto::RpcMessage &req) {
-        HandlerOutcome out;
-        out.response = req.payload();
-        out.cost = sim::nsToTicks(50);
-        return out;
-    });
+    c.serverThread().registerHandler(kFn, echoHandler(sim::nsToTicks(50)));
 
     auto &b_to_c = b.connectTo(c);
     // b: forwards to c, responds when c answers.
