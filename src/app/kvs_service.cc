@@ -132,30 +132,4 @@ KvsClient::getChecked(std::string_view key, GetStatusCb cb)
         });
 }
 
-void
-KvsClient::setChecked(std::string_view key, std::string_view value,
-                      SetStatusCb cb)
-{
-    dagger_assert(key.size() <= kKvMaxKey, "key too long");
-    dagger_assert(value.size() <= kKvMaxVal, "value too long");
-    dagger_assert(cb, "setChecked needs a continuation");
-    KvSetRequest req{};
-    req.keyLen = static_cast<std::uint8_t>(key.size());
-    req.valLen = static_cast<std::uint8_t>(value.size());
-    std::memcpy(req.key, key.data(), key.size());
-    std::memcpy(req.value, value.data(), value.size());
-
-    _client.callPodStatus(
-        static_cast<proto::FnId>(KvsFn::Set), req,
-        [cb = std::move(cb)](rpc::CallStatus st,
-                             const proto::RpcMessage &m) {
-            KvSetResponse resp{};
-            if (st != rpc::CallStatus::Ok || !m.payloadAs(resp)) {
-                cb(st, false);
-                return;
-            }
-            cb(st, resp.stored != 0);
-        });
-}
-
 } // namespace dagger::app

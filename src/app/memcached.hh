@@ -61,7 +61,6 @@ class Memcached
     bool erase(std::string_view key);
 
     const MemcachedStats &stats() const { return _stats; }
-    std::size_t memoryLimit() const { return _memoryLimit; }
 
     /** Slab class (size-class index) an item of @p bytes lands in. */
     static unsigned slabClassOf(std::size_t bytes);

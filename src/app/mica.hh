@@ -101,7 +101,6 @@ class MicaPartition
     bool erase(const MicaKey &key);
 
     const MicaStats &stats() const { return _stats; }
-    std::size_t logBytes() const { return _logBytes; }
 
     /** Record an EREW violation observed by the owning store. */
     void noteCrossPartition() { ++_stats.crossPartition; }

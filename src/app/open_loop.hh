@@ -104,16 +104,6 @@ class OpenLoopGen
     std::uint64_t issued() const { return _issued; }
     std::size_t cohortCount() const { return _cohorts.size(); }
     std::uint64_t clientCount() const;
-    const TenantSpec &tenant(unsigned t) const { return _tenants.at(t); }
-
-    /** Peak offered load of one tenant (requests/s, diurnal high). */
-    double
-    peakRps(unsigned t) const
-    {
-        const TenantSpec &spec = _tenants.at(t);
-        return static_cast<double>(spec.clients) * spec.perClientRps *
-               spec.diurnal.high;
-    }
 
   private:
     /**

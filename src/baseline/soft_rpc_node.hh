@@ -100,8 +100,6 @@ class SoftRpcNode
     ServeBreakdown &served() { return _served; }
 
     std::uint64_t handled() const { return _handled; }
-    const SoftStackParams &params() const { return _params; }
-    rpc::HwThread &appThread() { return _app; }
     rpc::HwThread &netThread() { return _net ? *_net : _app; }
 
   private:

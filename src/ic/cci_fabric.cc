@@ -140,14 +140,8 @@ CciPort::bookkeep(EventFn done)
         : _fabric.pcie().postLatency;
     // Pass the completion straight through instead of wrapping it: an
     // EventClosure scheduled from an EventClosure rvalue is a plain
-    // move, so the caller's inline storage survives end to end.  An
-    // empty `done` still schedules a no-op so event counts (and thus
-    // seq-number assignment) match the previous engine exactly.
-    if (done)
-        _fabric._eq.schedule(extra, std::move(done),
-                             sim::Priority::Hardware);
-    else
-        _fabric._eq.schedule(extra, [] {}, sim::Priority::Hardware);
+    // move, so the caller's inline storage survives end to end.
+    _fabric._eq.schedule(extra, std::move(done), sim::Priority::Hardware);
 }
 
 void

@@ -54,10 +54,11 @@ class CciPort
     void post(unsigned lines, EventFn done);
 
     /**
-     * Send bookkeeping info (free-slot releases) back to software.
-     * One cache line regardless of batch size.
+     * Send bookkeeping info (free-slot releases) back to software;
+     * @p done fires when software sees it.  One cache line regardless
+     * of batch size.
      */
-    void bookkeep(EventFn done = {});
+    void bookkeep(EventFn done);
 
     /**
      * Issue an idle read of one cache line over the interconnect —
@@ -139,7 +140,6 @@ class CciFabric
               UpiCost upi = {}, PcieCost pcie = {});
 
     CciPort &port(unsigned i);
-    unsigned numPorts() const { return static_cast<unsigned>(_ports.size()); }
 
     /** Attach another NIC instance to the shared fabric (Fig. 14). */
     CciPort &addPort();
@@ -147,14 +147,12 @@ class CciFabric
     IfaceKind kind() const { return _kind; }
     const UpiCost &upi() const { return _upi; }
     const PcieCost &pcie() const { return _pcie; }
-    EventQueue &eventQueue() { return _eq; }
 
     /** CPU cost per request for the configured interface (see cost model). */
     Tick hostTxCpuCost(unsigned batch) const;
 
-    /** Channels, exposed for utilization stats and tests. */
+    /** The host-to-NIC channel, exposed for its grant counts. */
     const Channel &toNicChannel() const { return _toNic; }
-    const Channel &toHostChannel() const { return _toHost; }
 
     /**
      * Register the fabric's statistics under @p scope (both channel

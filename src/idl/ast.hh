@@ -52,9 +52,6 @@ std::size_t fieldKindSize(FieldKind kind);
 /** C++ type spelling for a field kind (element type for arrays). */
 const char *fieldKindCpp(FieldKind kind);
 
-/** IDL spelling (for error messages / round-tripping). */
-const char *fieldKindName(FieldKind kind);
-
 /** One message field. */
 struct Field
 {

@@ -64,40 +64,6 @@ fieldKindCpp(FieldKind kind)
     return "?";
 }
 
-const char *
-fieldKindName(FieldKind kind)
-{
-    switch (kind) {
-      case FieldKind::Bool:
-        return "bool";
-      case FieldKind::Int8:
-        return "int8";
-      case FieldKind::Int16:
-        return "int16";
-      case FieldKind::Int32:
-        return "int32";
-      case FieldKind::Int64:
-        return "int64";
-      case FieldKind::UInt8:
-        return "uint8";
-      case FieldKind::UInt16:
-        return "uint16";
-      case FieldKind::UInt32:
-        return "uint32";
-      case FieldKind::UInt64:
-        return "uint64";
-      case FieldKind::Float32:
-        return "float32";
-      case FieldKind::Float64:
-        return "float64";
-      case FieldKind::CharArray:
-        return "char[]";
-      case FieldKind::Enum:
-        return "enum";
-    }
-    return "?";
-}
-
 const MessageDef *
 IdlFile::findMessage(const std::string &name) const
 {

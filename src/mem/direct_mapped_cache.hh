@@ -2,8 +2,9 @@
  * @file
  * Generic direct-mapped cache model with hit/miss/eviction statistics.
  *
- * Used for the Host Coherent Cache (HCC, 128 KB, §4.1) and as the
- * building block of the NIC connection cache (§4.2).
+ * Used for the Host Coherent Cache (HCC, 128 KB, §4.1).  The NIC
+ * connection cache (nic::ConnectionManager, §4.2) keeps its own
+ * direct-mapped table.
  */
 
 #ifndef DAGGER_MEM_DIRECT_MAPPED_CACHE_HH

@@ -94,8 +94,6 @@ class FaultInjector
     /** Script: flip a payload byte of a port's @p nth packet (1-based). */
     void scriptCorrupt(std::uint64_t nth) { _scriptCorrupts.insert(nth); }
 
-    const FaultSpec &spec() const { return _spec; }
-
     std::uint64_t seen() const { return sum(&PortState::seen); }
     std::uint64_t delivered() const { return sum(&PortState::delivered); }
     std::uint64_t droppedCount() const { return sum(&PortState::dropped); }

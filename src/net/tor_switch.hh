@@ -125,7 +125,6 @@ class TorSwitch
     std::uint64_t forwarded() const { return _forwarded; }
     /** Egress-queue overflows plus unroutable packets. */
     std::uint64_t dropped() const { return _dropped; }
-    EventQueue &eventQueue() { return _eq; }
 
     /** Register switch statistics under @p scope. */
     void

@@ -28,7 +28,7 @@
 #include <set>
 #include <unordered_map>
 
-#include "nic/pipeline.hh"
+#include "net/tor_switch.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 
@@ -37,7 +37,7 @@ namespace dagger::nic {
 class DaggerNic;
 
 /** Positive-ACK reliability with dedup and timeout retransmission. */
-class AckProtocol final : public ProtocolUnit
+class AckProtocol
 {
   public:
     /**
@@ -56,12 +56,20 @@ class AckProtocol final : public ProtocolUnit
           _mtuFrames(mtu_frames)
     {}
 
-    void attach(DaggerNic &nic) override;
+    /** Bind to the owning NIC (DaggerNic::setProtocol calls this). */
+    void attach(DaggerNic &nic);
 
-    bool onEgress(net::Packet &pkt) override;
-    bool onIngress(net::Packet &pkt) override;
+    /**
+     * Egress hook, after serialization, before the wire.
+     * @retval false swallow the packet (the protocol took ownership).
+     */
+    bool onEgress(net::Packet &pkt);
 
-    const char *name() const override { return "ack"; }
+    /**
+     * Ingress hook, straight off the wire.
+     * @retval false consume the packet (e.g., it was an ACK).
+     */
+    bool onIngress(net::Packet &pkt);
 
     /**
      * Fault injection: silently discard the next @p n ingress data

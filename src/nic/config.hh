@@ -30,8 +30,6 @@ enum class LbScheme : std::uint8_t {
     ObjectLevel, ///< application-specific key hash (MICA, §5.7)
 };
 
-const char *lbSchemeName(LbScheme scheme);
-
 /** Hard configuration: fixed when the NIC is "synthesized". */
 struct NicConfig
 {

@@ -37,16 +37,6 @@ ConnectionManager::open(proto::ConnId id, const ConnTuple &tuple)
     return true;
 }
 
-void
-ConnectionManager::close(proto::ConnId id)
-{
-    ++_readerAccesses[static_cast<std::size_t>(CmReader::Manager)];
-    Slot &s = _table[index(id)];
-    if (s.valid && s.id == id)
-        s.valid = false;
-    _backing.erase(id);
-}
-
 std::optional<ConnTuple>
 ConnectionManager::lookup(proto::ConnId id, CmReader reader,
                           sim::Tick &penalty)

@@ -41,7 +41,7 @@ struct ConnTuple
 enum class CmReader : std::uint8_t {
     OutgoingFlow, ///< TX path: destination credentials
     IncomingFlow, ///< RX path: flow steering / load balancer
-    Manager,      ///< the CM itself (open/close)
+    Manager,      ///< the CM itself (open)
 };
 
 /**
@@ -62,9 +62,6 @@ class ConnectionManager
      *         backing and the displaced connection would be lost).
      */
     bool open(proto::ConnId id, const ConnTuple &tuple);
-
-    /** Close a connection; removes it from cache and backing store. */
-    void close(proto::ConnId id);
 
     /**
      * Look up a connection from one of the three read ports.

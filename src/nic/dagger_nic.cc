@@ -26,10 +26,7 @@ DaggerNic::DaggerNic(sim::EventQueue &eq, NicConfig cfg, SoftConfig soft,
       // return.
       _cm(_cfg), _hcc(cfg.connMissPenalty),
       _reqBuffer(kHwMaxBatch * cfg.numFlows, cfg.numFlows),
-      _flows(cfg.numFlows), _protocol(std::make_unique<ProtocolUnit>()),
-      _rrLb(std::make_unique<RoundRobinLb>()),
-      _staticLb(std::make_unique<StaticLb>()),
-      _objLb(std::make_unique<ObjectLevelLb>(0, 8))
+      _flows(cfg.numFlows)
 {
     dagger_assert(cfg.numFlows >= 1, "NIC needs at least one flow");
     _spareBatches.reserve(kMaxSpares);
@@ -56,23 +53,17 @@ DaggerNic::openConnection(proto::ConnId id, const ConnTuple &tuple)
 }
 
 void
-DaggerNic::closeConnection(proto::ConnId id)
-{
-    _cm.close(id);
-}
-
-void
 DaggerNic::setObjectLevelKey(std::size_t key_offset, std::size_t key_len)
 {
-    _objLb = std::make_unique<ObjectLevelLb>(key_offset, key_len);
+    _objLb = ObjectLevelLb(key_offset, key_len);
 }
 
 void
-DaggerNic::setProtocol(std::unique_ptr<ProtocolUnit> protocol)
+DaggerNic::setProtocol(std::unique_ptr<AckProtocol> protocol)
 {
-    dagger_assert(protocol, "null protocol unit");
     _protocol = std::move(protocol);
-    _protocol->attach(*this);
+    if (_protocol)
+        _protocol->attach(*this);
 }
 
 void
@@ -239,7 +230,7 @@ DaggerNic::egressFrames(std::vector<proto::Frame> &&frames)
         pkt.frames = std::move(frames);
         _monitor.rpcsOut.inc();
         _monitor.bytesOut.inc(pkt.wireBytes());
-        if (_protocol->onEgress(pkt))
+        if (!_protocol || _protocol->onEgress(pkt))
             _net.send(std::move(pkt));
     };
     static_assert(sim::EventClosure::fitsInline<decltype(send)>());
@@ -259,7 +250,7 @@ DaggerNic::egressFrames(std::vector<proto::Frame> &&frames)
 void
 DaggerNic::onNetReceive(net::Packet pkt)
 {
-    if (!_protocol->onIngress(pkt))
+    if (_protocol && !_protocol->onIngress(pkt))
         return;
     auto steer = [this, pkt = std::move(pkt)]() mutable {
         steerMessage(std::move(pkt));
@@ -287,22 +278,29 @@ DaggerNic::steerMessage(net::Packet pkt)
         return;
     }
     penalty += _hcc.access(h0.connId);
-    unsigned flow;
+    unsigned flow = 0;
     if (h0.type == proto::MsgType::Response) {
         flow = tuple->srcFlow % _cfg.numFlows;
-    } else if (tuple->loadBalancer == LbScheme::ObjectLevel) {
-        // The object-level balancer hashes key bytes out of the
-        // payload, so this steering mode (alone) reassembles.
-        proto::RpcMessage msg;
-        if (!proto::RpcMessage::fromFrames(pkt.frames, msg)) {
-            _monitor.malformed.inc();
-            return;
-        }
-        flow = pickFlow(msg, *tuple);
     } else {
-        const proto::RpcMessage hdr(h0.connId, h0.rpcId, h0.fnId, h0.type,
-                                    proto::PayloadBuf());
-        flow = pickFlow(hdr, *tuple);
+        switch (tuple->loadBalancer) {
+          case LbScheme::RoundRobin:
+            flow = _rrLb.pick(activeFlows());
+            break;
+          case LbScheme::Static:
+            flow = _staticLb.pick(*tuple, activeFlows());
+            break;
+          case LbScheme::ObjectLevel: {
+            // The object-level balancer hashes key bytes out of the
+            // payload, so this steering mode (alone) reassembles.
+            proto::RpcMessage msg;
+            if (!proto::RpcMessage::fromFrames(pkt.frames, msg)) {
+                _monitor.malformed.inc();
+                return;
+            }
+            flow = _objLb.pick(msg, activeFlows());
+            break;
+          }
+        }
     }
     dagger_assert(flow < _flows.size(),
                   "load balancer steered to nonexistent flow ", flow);
@@ -338,25 +336,6 @@ DaggerNic::steerMessage(net::Packet pkt)
         static_assert(sim::EventClosure::fitsInline<decltype(post)>());
         _eq.schedule(penalty, std::move(post), sim::Priority::Hardware);
     }
-}
-
-unsigned
-DaggerNic::pickFlow(const proto::RpcMessage &msg, const ConnTuple &tuple)
-{
-    LoadBalancer *lb = nullptr;
-    switch (tuple.loadBalancer) {
-      case LbScheme::RoundRobin:
-        lb = _rrLb.get();
-        break;
-      case LbScheme::Static:
-        lb = _staticLb.get();
-        break;
-      case LbScheme::ObjectLevel:
-        lb = _objLb.get();
-        break;
-    }
-    dagger_assert(lb, "no load balancer instance");
-    return lb->pick(msg, tuple, activeFlows());
 }
 
 void

@@ -25,6 +25,7 @@
 #include "ic/cci_fabric.hh"
 #include "mem/hcc.hh"
 #include "net/tor_switch.hh"
+#include "nic/ack_protocol.hh"
 #include "nic/config.hh"
 #include "nic/connection_manager.hh"
 #include "nic/load_balancer.hh"
@@ -60,9 +61,6 @@ class DaggerNic
     /** Register a connection in the hardware connection manager. */
     bool openConnection(proto::ConnId id, const ConnTuple &tuple);
 
-    /** Remove a connection. */
-    void closeConnection(proto::ConnId id);
-
     /**
      * Mutable soft registers; writes take effect on the next FSM
      * decision, like MMIO CSR writes (§4.1 soft configuration).
@@ -73,23 +71,17 @@ class DaggerNic
     /** Install an application-specific load balancer (§5.7, MICA). */
     void setObjectLevelKey(std::size_t key_offset, std::size_t key_len);
 
-    /** Install a protocol-unit extension (default: idle pass-through). */
-    void setProtocol(std::unique_ptr<ProtocolUnit> protocol);
+    /**
+     * Install the reliable-delivery Protocol unit; null (the default)
+     * is the paper's idle unit, which forwards every packet (§4.5).
+     */
+    void setProtocol(std::unique_ptr<AckProtocol> protocol);
 
-    /** Re-inject a packet from a protocol unit (retransmission). */
+    /** Re-inject a packet from the Protocol unit (retransmission). */
     void protocolEgress(net::Packet pkt);
 
     const NicConfig &config() const { return _cfg; }
-    net::NodeId node() const { return _net.node(); }
     ConnectionManager &connectionManager() { return _cm; }
-
-    /**
-     * The Host Coherent Cache (§4.1): holds per-connection transport
-     * state on the NIC, coherently backed by host memory.  Every RPC
-     * touches its connection's state line; a miss costs a coherent
-     * fill.
-     */
-    mem::Hcc &hcc() { return _hcc; }
 
     PacketMonitor &monitor() { return _monitor; }
     const PacketMonitor &monitor() const { return _monitor; }
@@ -156,7 +148,6 @@ class DaggerNic
     void onNetReceive(net::Packet pkt);
     void steerMessage(net::Packet pkt);
     void drainIngress(unsigned flow);
-    unsigned pickFlow(const proto::RpcMessage &msg, const ConnTuple &tuple);
     void maybePost(unsigned flow);
     void issuePost(unsigned flow, std::size_t frames);
     void armPostTimeout(unsigned flow);
@@ -170,6 +161,9 @@ class DaggerNic
     ic::CciPort &_port;
     net::SwitchPort &_net;
     ConnectionManager _cm;
+    /** The Host Coherent Cache (§4.1): per-connection transport state
+     *  on the NIC, coherently backed by host memory.  Every RPC
+     *  touches its connection's state line; a miss costs a fill. */
     mem::Hcc _hcc;
     RequestBuffer _reqBuffer;
     std::vector<FlowState> _flows;
@@ -180,10 +174,10 @@ class DaggerNic
      *  per-vector size, so a rare huge message is not retained. */
     SparePool _spareBatches;
     SparePool _spareBodies;
-    std::unique_ptr<ProtocolUnit> _protocol;
-    std::unique_ptr<LoadBalancer> _rrLb;
-    std::unique_ptr<LoadBalancer> _staticLb;
-    std::unique_ptr<LoadBalancer> _objLb;
+    std::unique_ptr<AckProtocol> _protocol;
+    RoundRobinLb _rrLb;
+    StaticLb _staticLb;
+    ObjectLevelLb _objLb{0, 8};
     std::uint64_t _fetchesInWindow = 0;
     sim::Tick _lastPollEval = 0;
     /// in-order egress pipeline head

@@ -1,22 +1,6 @@
 #include "nic/load_balancer.hh"
 
-#include "sim/logging.hh"
-
 namespace dagger::nic {
-
-const char *
-lbSchemeName(LbScheme scheme)
-{
-    switch (scheme) {
-      case LbScheme::RoundRobin:
-        return "round-robin";
-      case LbScheme::Static:
-        return "static";
-      case LbScheme::ObjectLevel:
-        return "object-level";
-    }
-    return "?";
-}
 
 std::uint64_t
 ObjectLevelLb::hashKey(const std::uint8_t *data, std::size_t len)
@@ -30,8 +14,7 @@ ObjectLevelLb::hashKey(const std::uint8_t *data, std::size_t len)
 }
 
 unsigned
-ObjectLevelLb::pick(const proto::RpcMessage &msg, const ConnTuple &,
-                    unsigned flows)
+ObjectLevelLb::pick(const proto::RpcMessage &msg, unsigned flows) const
 {
     const auto &payload = msg.payload();
     if (_keyOffset + _keyLen > payload.size()) {
@@ -41,21 +24,6 @@ ObjectLevelLb::pick(const proto::RpcMessage &msg, const ConnTuple &,
     }
     return static_cast<unsigned>(
         hashKey(payload.data() + _keyOffset, _keyLen) % flows);
-}
-
-std::unique_ptr<LoadBalancer>
-makeLoadBalancer(LbScheme scheme, std::size_t key_offset,
-                 std::size_t key_len)
-{
-    switch (scheme) {
-      case LbScheme::RoundRobin:
-        return std::make_unique<RoundRobinLb>();
-      case LbScheme::Static:
-        return std::make_unique<StaticLb>();
-      case LbScheme::ObjectLevel:
-        return std::make_unique<ObjectLevelLb>(key_offset, key_len);
-    }
-    dagger_panic("unknown LB scheme");
 }
 
 } // namespace dagger::nic

@@ -15,46 +15,24 @@
 #define DAGGER_NIC_LOAD_BALANCER_HH
 
 #include <cstdint>
-#include <memory>
 
-#include "nic/config.hh"
 #include "nic/connection_manager.hh"
 #include "proto/wire.hh"
 
 namespace dagger::nic {
 
-/** Strategy interface: choose the flow an incoming request joins. */
-class LoadBalancer
-{
-  public:
-    virtual ~LoadBalancer() = default;
-
-    /**
-     * @param msg    the incoming request
-     * @param tuple  the connection tuple (for static steering)
-     * @param flows  number of active flows
-     * @return flow index in [0, flows)
-     */
-    virtual unsigned pick(const proto::RpcMessage &msg,
-                          const ConnTuple &tuple, unsigned flows) = 0;
-
-    virtual LbScheme scheme() const = 0;
-};
-
 /** Dynamic uniform steering: requests round-robin over flows. */
-class RoundRobinLb final : public LoadBalancer
+class RoundRobinLb
 {
   public:
+    /** @return the next flow index in [0, flows) */
     unsigned
-    pick(const proto::RpcMessage &, const ConnTuple &,
-         unsigned flows) override
+    pick(unsigned flows)
     {
         const unsigned f = _next % flows;
         _next = (_next + 1) % flows;
         return f;
     }
-
-    LbScheme scheme() const override { return LbScheme::RoundRobin; }
 
   private:
     /// round-robin cursor
@@ -62,17 +40,14 @@ class RoundRobinLb final : public LoadBalancer
 };
 
 /** Static balancing: steering recorded in the connection tuple. */
-class StaticLb final : public LoadBalancer
+class StaticLb
 {
   public:
     unsigned
-    pick(const proto::RpcMessage &, const ConnTuple &tuple,
-         unsigned flows) override
+    pick(const ConnTuple &tuple, unsigned flows) const
     {
         return tuple.srcFlow % flows;
     }
-
-    LbScheme scheme() const override { return LbScheme::Static; }
 };
 
 /**
@@ -82,7 +57,7 @@ class StaticLb final : public LoadBalancer
  * the payload is configured per NIC (it is fixed by the generated
  * message layout).
  */
-class ObjectLevelLb final : public LoadBalancer
+class ObjectLevelLb
 {
   public:
     /**
@@ -93,10 +68,7 @@ class ObjectLevelLb final : public LoadBalancer
         : _keyOffset(key_offset), _keyLen(key_len)
     {}
 
-    unsigned pick(const proto::RpcMessage &msg, const ConnTuple &tuple,
-                  unsigned flows) override;
-
-    LbScheme scheme() const override { return LbScheme::ObjectLevel; }
+    unsigned pick(const proto::RpcMessage &msg, unsigned flows) const;
 
     /** FNV-1a over the key bytes; exposed so apps can pre-shard. */
     static std::uint64_t hashKey(const std::uint8_t *data, std::size_t len);
@@ -105,11 +77,6 @@ class ObjectLevelLb final : public LoadBalancer
     std::size_t _keyOffset;
     std::size_t _keyLen;
 };
-
-/** Factory from the soft-config scheme selector. */
-std::unique_ptr<LoadBalancer>
-makeLoadBalancer(LbScheme scheme, std::size_t key_offset = 0,
-                 std::size_t key_len = 8);
 
 } // namespace dagger::nic
 

@@ -1,14 +1,10 @@
 /**
  * @file
- * RPC-unit auxiliary blocks: the Protocol unit hook and the Packet
- * Monitor (Fig. 6).
+ * The Packet Monitor block of the RPC unit (Fig. 6).
  *
- * "The Protocol is the last module of the RPC unit. It is designed to
- * implement RPC-optimized protocol layers such as congestion control,
- * piggybacking acknowledgement, ... and is currently idle - it simply
- * forwards all packets to the network." (§4.5)  The hook interface
- * below is that extension point; an optional ACK/retransmit protocol
- * ships in nic/ack_protocol.hh.
+ * The RPC unit's other auxiliary block, the Protocol unit, "is
+ * currently idle - it simply forwards all packets to the network"
+ * (§4.5); DaggerNic models it as an optional nic::AckProtocol.
  */
 
 #ifndef DAGGER_NIC_PIPELINE_HH
@@ -16,37 +12,10 @@
 
 #include <cstdint>
 
-#include "net/tor_switch.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
 
 namespace dagger::nic {
-
-class DaggerNic;
-
-/** Protocol-unit extension hook. */
-class ProtocolUnit
-{
-  public:
-    virtual ~ProtocolUnit() = default;
-
-    /** Attach to the owning NIC (called once at install time). */
-    virtual void attach(DaggerNic &) {}
-
-    /**
-     * Egress hook, after serialization, before the wire.
-     * @retval false swallow the packet (the protocol took ownership).
-     */
-    virtual bool onEgress(net::Packet &) { return true; }
-
-    /**
-     * Ingress hook, straight off the wire.
-     * @retval false consume the packet (e.g., it was an ACK).
-     */
-    virtual bool onIngress(net::Packet &) { return true; }
-
-    virtual const char *name() const { return "idle"; }
-};
 
 /** The Packet Monitor block: networking statistics (§4.1). */
 struct PacketMonitor

@@ -60,7 +60,6 @@ class RequestBuffer
 
     std::size_t freeSlots() const { return _freeFifo.size(); }
     std::size_t capacity() const { return _table.size(); }
-    unsigned flows() const { return static_cast<unsigned>(_flowFifos.size()); }
 
     std::uint64_t pushes() const { return _pushes; }
     std::uint64_t rejections() const { return _rejections; }

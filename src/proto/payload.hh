@@ -278,14 +278,8 @@ class PayloadView
         : _buf(std::move(buf)), _off(offset), _len(len)
     {}
 
-    /** Whole-buffer view. */
-    explicit PayloadView(PayloadBuf buf)
-        : _buf(std::move(buf)), _off(0), _len(_buf.size())
-    {}
-
     const std::uint8_t *data() const { return _buf.data() + _off; }
     std::size_t size() const { return _len; }
-    bool empty() const { return _len == 0; }
 
     /** Byte @p i of the slice; reads 0 beyond the end (wire padding). */
     std::uint8_t

@@ -431,8 +431,6 @@ RpcClient::completeResponse()
             scb(CallStatus::Ok, msg);
         else if (cb)
             cb(msg);
-        else
-            _cq.push(std::move(msg));
     }
     processResponses();
 }
@@ -451,15 +449,6 @@ RpcClientPool::aggregateLatency() const
     for (const auto &c : _clients)
         h.merge(c->_latency);
     return h;
-}
-
-std::uint64_t
-RpcClientPool::totalResponses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &c : _clients)
-        n += c->_responses;
-    return n;
 }
 
 } // namespace dagger::rpc

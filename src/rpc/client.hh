@@ -3,11 +3,10 @@
  * RpcClient / RpcClientPool: the client half of the Dagger API (§4.2).
  *
  * Each RpcClient is 1-to-1 mapped to a NIC flow and its RX/TX ring
- * pair (Fig. 7).  Calls are asynchronous: the continuation (or the
- * CompletionQueue) receives the response on the client's hardware
- * thread.  Several connections may share one client's rings — the
- * Shared Receive Queue model — in which case an explicit lock cost is
- * charged on the TX path.
+ * pair (Fig. 7).  Calls are asynchronous: the continuation receives
+ * the response on the client's hardware thread.  Several connections
+ * may share one client's rings — the Shared Receive Queue model — in
+ * which case an explicit lock cost is charged on the TX path.
  */
 
 #ifndef DAGGER_RPC_CLIENT_HH
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "proto/wire.hh"
-#include "rpc/completion_queue.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/reuse.hh"
@@ -76,8 +74,8 @@ class RpcClient
     /**
      * Issue a non-blocking call on the default connection.
      * The continuation runs on this client's hardware thread when the
-     * response arrives; with no continuation the response lands in
-     * the CompletionQueue.
+     * response arrives; with no continuation the response is counted
+     * (responses(), latency()) and dropped.
      */
     void
     callAsync(proto::FnId fn, const void *data, std::size_t len,
@@ -115,7 +113,6 @@ class RpcClient
      * for plain-callback calls).
      */
     void setRetryPolicy(RetryPolicy policy) { _retry = policy; }
-    const RetryPolicy &retryPolicy() const { return _retry; }
 
     /**
      * One-way call: fire-and-forget, no response expected and no
@@ -144,8 +141,6 @@ class RpcClient
      * allowing arbitrary packet drops").
      */
     void setBestEffort(bool on);
-
-    CompletionQueue &completions() { return _cq; }
 
     std::uint64_t sent() const { return _sent; }
     std::uint64_t responses() const { return _responses; }
@@ -253,7 +248,6 @@ class RpcClient
     std::set<proto::RpcId> _retriedDone;
     static constexpr std::size_t kRetriedDoneCap = 1024;
 
-    CompletionQueue _cq;
     sim::Histogram _latency;
     std::uint64_t _sent = 0;
     std::uint64_t _responses = 0;
@@ -285,9 +279,6 @@ class RpcClientPool
 
     /** Aggregate RTT histogram across the pool's clients. */
     sim::Histogram aggregateLatency() const;
-
-    /** Aggregate completed-response count. */
-    std::uint64_t totalResponses() const;
 
   private:
     DaggerNode &_node;

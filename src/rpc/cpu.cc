@@ -4,8 +4,8 @@
 
 namespace dagger::rpc {
 
-CpuCore::CpuCore(EventQueue &eq, unsigned id, double smt_penalty)
-    : _eq(eq), _id(id), _smtPenalty(smt_penalty)
+CpuCore::CpuCore(EventQueue &eq, double smt_penalty)
+    : _eq(eq), _smtPenalty(smt_penalty)
 {
     dagger_assert(smt_penalty >= 1.0, "SMT penalty must be >= 1.0");
     for (unsigned i = 0; i < _threads.size(); ++i) {
@@ -60,7 +60,7 @@ CpuSet::CpuSet(EventQueue &eq, unsigned cores, double smt_penalty)
     dagger_assert(cores >= 1, "CpuSet needs cores");
     _cores.reserve(cores);
     for (unsigned i = 0; i < cores; ++i)
-        _cores.push_back(std::make_unique<CpuCore>(eq, i, smt_penalty));
+        _cores.push_back(std::make_unique<CpuCore>(eq, smt_penalty));
 }
 
 CpuCore &

@@ -48,8 +48,6 @@ class HwThread
     /** Total CPU time charged (after SMT scaling). */
     Tick busyTicks() const { return _busyTicks; }
 
-    CpuCore &core() { return *_core; }
-    unsigned index() const { return _index; }
 
   private:
     friend class CpuCore;
@@ -66,17 +64,13 @@ class CpuCore
   public:
     /**
      * @param eq          event queue
-     * @param id          core number (reporting only)
      * @param smt_penalty execution-time multiplier applied to work
      *                    that overlaps with the sibling thread
      *                    (1.6 ~= the usual ~1.25x total SMT yield)
      */
-    CpuCore(EventQueue &eq, unsigned id, double smt_penalty = 1.6);
+    explicit CpuCore(EventQueue &eq, double smt_penalty = 1.6);
 
     HwThread &thread(unsigned i);
-    unsigned id() const { return _id; }
-    EventQueue &eventQueue() { return _eq; }
-    double smtPenalty() const { return _smtPenalty; }
 
     /** Utilization of the core over a window (both threads, capped). */
     double utilization(Tick window) const;
@@ -85,7 +79,6 @@ class CpuCore
     friend class HwThread;
 
     EventQueue &_eq;
-    unsigned _id;
     double _smtPenalty;
     std::array<HwThread, 2> _threads;
 };

@@ -189,8 +189,7 @@ class RxRing
     /**
      * Software: pop the next complete RPC message, feeding frames
      * through the reassembler.  Frees ring entries immediately (the
-     * consumer copies payloads into the completion queue, step 7 in
-     * Fig. 8).
+     * consumer takes the payload out of the ring, step 7 in Fig. 8).
      * @retval false no complete message available.
      */
     bool

@@ -188,11 +188,9 @@ RpcServerThread::sendLater()
     proto::RpcMessage resp = _later.take();
     TxRing &tx = _node.flow(_flow).tx;
     if (!_txBacklog.empty() || !tx.push(resp)) {
-        ++_txBlocked;
         _txBacklog.push_back(std::move(resp));
         return;
     }
-    ++_responsesSent;
 }
 
 void
@@ -206,21 +204,17 @@ RpcServerThread::finishRequest(const proto::RpcMessage &req,
                            std::move(outcome.response));
     TxRing &tx = _node.flow(_flow).tx;
     if (!_txBacklog.empty() || !tx.push(resp)) {
-        ++_txBlocked;
         _txBacklog.push_back(std::move(resp));
         return;
     }
-    ++_responsesSent;
 }
 
 void
 RpcServerThread::flushResponses()
 {
     TxRing &tx = _node.flow(_flow).tx;
-    while (!_txBacklog.empty() && tx.push(_txBacklog.front())) {
+    while (!_txBacklog.empty() && tx.push(_txBacklog.front()))
         _txBacklog.pop_front();
-        ++_responsesSent;
-    }
 }
 
 RpcServerThread &

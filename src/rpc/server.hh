@@ -90,7 +90,6 @@ class WorkerPool
     void submit(sim::Tick cost, sim::EventFn fn);
 
     std::uint64_t submitted() const { return _submitted; }
-    std::size_t workers() const { return _workers.size(); }
     /** Work submitted but not yet run (queued + waiting on a worker). */
     std::size_t inflight() const { return _inflight; }
 
@@ -140,7 +139,6 @@ class RpcServerThread
     /** Install (or disable, with a default-constructed policy) load
      *  shedding on this thread's RX backlog. */
     void setShedPolicy(ShedPolicy policy) { _shed = policy; }
-    const ShedPolicy &shedPolicy() const { return _shed; }
 
     /**
      * Send a response outside the handler's return path.  Used by
@@ -166,14 +164,10 @@ class RpcServerThread
     void resume();
 
     std::uint64_t processed() const { return _processed; }
-    std::uint64_t responsesSent() const { return _responsesSent; }
-    std::uint64_t txBlocked() const { return _txBlocked; }
     std::uint64_t unhandled() const { return _unhandled; }
     /** Requests dropped by the shed policy. */
     std::uint64_t shedCalls() const { return _shedCalls; }
 
-    DaggerNode &node() { return _node; }
-    unsigned flow() const { return _flow; }
     HwThread &dispatchThread() { return _dispatch; }
 
   private:
@@ -209,8 +203,6 @@ class RpcServerThread
     /** respondLater() responses waiting for their send event (FIFO). */
     sim::RingFifo<proto::RpcMessage> _later;
     std::uint64_t _processed = 0;
-    std::uint64_t _responsesSent = 0;
-    std::uint64_t _txBlocked = 0;
     std::uint64_t _unhandled = 0;
     std::uint64_t _shedCalls = 0;
 };
@@ -238,7 +230,6 @@ class RpcThreadedServer
 
     RpcServerThread &serverThread(std::size_t i) { return *_threads.at(i); }
     std::size_t size() const { return _threads.size(); }
-    DaggerNode &node() { return _node; }
 
     std::uint64_t totalProcessed() const;
     std::uint64_t totalShed() const;

@@ -94,7 +94,7 @@ DaggerSystem::connect(DaggerNode &client, unsigned client_flow,
 {
     dagger_assert(client_flow < client.numFlows(),
                   "client flow out of range");
-    const auto id = static_cast<proto::ConnId>(_conns.size() + 1);
+    const proto::ConnId id = _nextConn++;
 
     nic::ConnTuple client_tuple;
     client_tuple.srcFlow = client_flow;
@@ -112,18 +112,7 @@ DaggerSystem::connect(DaggerNode &client, unsigned client_flow,
     if (!server.nicDev().openConnection(id, server_tuple))
         dagger_fatal("connection cache conflict on server NIC; enable "
                      "connCacheDramBacking or enlarge the cache");
-
-    _conns.push_back(ConnRecord{client.id(), server.id()});
     return id;
-}
-
-void
-DaggerSystem::disconnect(proto::ConnId id)
-{
-    dagger_assert(id >= 1 && id <= _conns.size(), "unknown connection ", id);
-    const ConnRecord &rec = _conns[id - 1];
-    _nodes.at(rec.client)->nicDev().closeConnection(id);
-    _nodes.at(rec.server)->nicDev().closeConnection(id);
 }
 
 } // namespace dagger::rpc

@@ -100,9 +100,6 @@ class DaggerSystem
                           DaggerNode &server, unsigned server_flow = 0,
                           nic::LbScheme lb = nic::LbScheme::RoundRobin);
 
-    /** Close a connection on both sides. */
-    void disconnect(proto::ConnId id);
-
     /** The one event queue every component of this system runs on. */
     sim::EventQueue &eq() { return _eq; }
     ic::CciFabric &fabric() { return _fabric; }
@@ -137,12 +134,6 @@ class DaggerSystem
     }
 
   private:
-    struct ConnRecord
-    {
-        net::NodeId client;
-        net::NodeId server;
-    };
-
     sim::MetricRegistry _metrics; ///< outlives everything registered in it
     ReliabilityStats _reliability;
     sim::EventQueue _eq;
@@ -150,7 +141,7 @@ class DaggerSystem
     net::TorSwitch _tor;
     SwCost _swCost;
     std::vector<std::unique_ptr<DaggerNode>> _nodes;
-    std::vector<ConnRecord> _conns; // index = ConnId - 1
+    proto::ConnId _nextConn = 1;
 };
 
 } // namespace dagger::rpc

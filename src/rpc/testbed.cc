@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace dagger::rpc {
 
 namespace {
@@ -39,9 +41,17 @@ Testbed::Testbed(const TestbedConfig &cfg)
         _server.registerHandler(kEchoFn, cfg.handler);
 }
 
+void
+Testbed::startDriver()
+{
+    dagger_assert(!_driven, "a testbed runs one driver; build a fresh one");
+    _driven = true;
+}
+
 LoadPoint
 Testbed::saturate(unsigned window, sim::Tick warmup, sim::Tick measure)
 {
+    startDriver();
     for (std::size_t i = 0; i < _clients.size(); ++i)
         for (unsigned w = 0; w < window; ++w)
             fireClosedLoop(_clients.client(i));
@@ -51,6 +61,7 @@ Testbed::saturate(unsigned window, sim::Tick warmup, sim::Tick measure)
 LoadPoint
 Testbed::offer(double offered_mrps, sim::Tick warmup, sim::Tick measure)
 {
+    startDriver();
     const double per_client =
         offered_mrps / static_cast<double>(_clients.size());
     _stopAt = _sys.now() + warmup + measure;
@@ -62,6 +73,7 @@ Testbed::offer(double offered_mrps, sim::Tick warmup, sim::Tick measure)
 LoadPoint
 Testbed::floodPeak(sim::Tick warmup, sim::Tick measure)
 {
+    startDriver();
     _stopAt = _sys.now() + warmup + measure;
     for (std::size_t i = 0; i < _clients.size(); ++i) {
         _clients.client(i).setBestEffort(true);

@@ -8,8 +8,10 @@
  * NICs of Fig. 14 that §5.2-5.6 and Table 3 measure on.  The testbed
  * owns the system, both nodes, their cores, one RpcClient per client
  * flow and one server thread per server flow, and drives echo load
- * through them.  Anything it does not configure stays reachable
- * through its accessors (`serverNode().nicDev().setProtocol(...)`,
+ * through them: one driver per testbed, because a driver's arrival
+ * chains and client modes outlive its run.  Anything it does not
+ * configure stays reachable through its accessors
+ * (`serverNode().nicDev().setProtocol(...)`,
  * `client(i).setRetryPolicy(...)`).
  */
 
@@ -112,6 +114,8 @@ class Testbed
                         sim::Tick measure = sim::msToTicks(10));
 
   private:
+    /** Panics if a driver already ran on this testbed. */
+    void startDriver();
     void floodLoop(RpcClient &cli);
     void fireClosedLoop(RpcClient &cli);
     void fireOpenLoop(RpcClient &cli, double mrps);
@@ -128,6 +132,7 @@ class Testbed
     /** The drivers' request: one 64 B frame. */
     const std::vector<std::uint8_t> _payload;
     sim::Tick _stopAt = 0;
+    bool _driven = false;
 };
 
 } // namespace dagger::rpc

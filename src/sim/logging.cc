@@ -4,24 +4,6 @@
 
 namespace dagger::sim::detail {
 
-namespace {
-// Written once at startup from DAGGER_VERBOSE, read-only afterwards.
-// dagger-lint: allow(shared-mutable-static-in-sim)
-bool gVerbose = false;
-} // namespace
-
-bool
-verboseEnabled()
-{
-    return gVerbose;
-}
-
-void
-setVerbose(bool on)
-{
-    gVerbose = on;
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
@@ -40,13 +22,6 @@ void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (gVerbose)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace dagger::sim::detail

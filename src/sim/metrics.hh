@@ -135,7 +135,6 @@ class MetricScope
     }
 
     const std::string &prefix() const { return _prefix; }
-    MetricRegistry &registry() const { return *_registry; }
 
   private:
     std::string

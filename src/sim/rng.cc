@@ -30,7 +30,6 @@ Rng::reseed(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : _s)
         word = splitmix64(sm);
-    _haveSpare = false;
 }
 
 std::uint64_t
@@ -59,25 +58,6 @@ Rng::range(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    if (_haveSpare) {
-        _haveSpare = false;
-        return mean + stddev * _spare;
-    }
-    double u, v, s;
-    do {
-        u = 2.0 * uniform() - 1.0;
-        v = 2.0 * uniform() - 1.0;
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double mul = std::sqrt(-2.0 * std::log(s) / s);
-    _spare = v * mul;
-    _haveSpare = true;
-    return mean + stddev * u * mul;
 }
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,

@@ -60,13 +60,8 @@ class Rng
         return -mean * std::log(u);
     }
 
-    /** Normally distributed value (Box–Muller). */
-    double normal(double mean, double stddev);
-
   private:
     std::array<std::uint64_t, 4> _s{};
-    bool _haveSpare = false;
-    double _spare = 0.0;
 };
 
 /**
@@ -85,7 +80,6 @@ class ZipfianGenerator
     std::uint64_t next();
 
     std::uint64_t n() const { return _n; }
-    double theta() const { return _theta; }
 
   private:
     double zeta(std::uint64_t n, double theta) const;

@@ -64,9 +64,6 @@ class Histogram
      */
     std::uint64_t percentile(double p) const;
 
-    /** Median convenience accessor. */
-    std::uint64_t median() const { return percentile(50.0); }
-
     /** Merge another histogram into this one. */
     void merge(const Histogram &other);
 

@@ -82,7 +82,6 @@ SocialNet::build()
         return [this, t, tier_cost](const Payload &,
                                     SoftRpcNode::Responder respond) {
             Payload resp(sampleRespSize(t));
-            _respSize[t].record(resp.size());
             _allResp.record(resp.size());
             respond(std::move(resp), tier_cost(t));
         };
@@ -102,7 +101,6 @@ SocialNet::build()
             if (--*remaining > 0)
                 return;
             Payload resp(sampleRespSize(3));
-            _respSize[3].record(resp.size());
             _allResp.record(resp.size());
             (*resp_holder)(std::move(resp), tier_cost(3));
         };

@@ -134,14 +134,10 @@ class SocialNet
     /** Per-tier served breakdown (transport / rpc / app / total). */
     const baseline::ServeBreakdown &tierBreakdown(unsigned tier) const;
 
-    /** Per-tier request/response wire sizes (bytes). */
+    /** Per-tier request wire sizes (bytes). */
     const sim::Histogram &requestSize(unsigned tier) const
     {
         return _reqSize[tier];
-    }
-    const sim::Histogram &responseSize(unsigned tier) const
-    {
-        return _respSize[tier];
     }
 
     /** Aggregate size histograms across all RPCs (Fig. 4 left). */
@@ -154,7 +150,6 @@ class SocialNet
     std::uint64_t degradedServed() const { return _degradedServed; }
     /** Requests issued but not yet completed. */
     std::uint64_t inflight() const { return _inflight; }
-    sim::EventQueue &eq() { return _eq; }
 
   private:
     void build();
@@ -180,7 +175,6 @@ class SocialNet
     std::unique_ptr<baseline::SoftRpcNode> _frontend;
 
     std::array<sim::Histogram, kSnTiers> _reqSize;
-    std::array<sim::Histogram, kSnTiers> _respSize;
     sim::Histogram _allReq;
     sim::Histogram _allResp;
     sim::Histogram _e2e;

@@ -97,7 +97,7 @@ TEST(MicaKvs, PartitioningMatchesNicLoadBalancer)
                                       dagger::proto::MsgType::Request, key,
                                       8);
         EXPECT_EQ(kvs.partitionOf(std::string_view(key, 8)),
-                  lb.pick(msg, dagger::nic::ConnTuple{}, 4))
+                  lb.pick(msg, 4))
             << key;
     }
 }

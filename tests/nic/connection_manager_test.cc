@@ -22,7 +22,7 @@ smallCfg(bool backing = false)
     return cfg;
 }
 
-TEST(ConnectionManager, OpenLookupClose)
+TEST(ConnectionManager, OpenLookup)
 {
     NicConfig cfg = smallCfg();
     ConnectionManager cm(cfg);
@@ -31,8 +31,6 @@ TEST(ConnectionManager, OpenLookupClose)
     auto got = cm.lookup(5, CmReader::OutgoingFlow);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, t);
-    cm.close(5);
-    EXPECT_FALSE(cm.lookup(5, CmReader::OutgoingFlow).has_value());
 }
 
 TEST(ConnectionManager, UnknownConnectionMisses)

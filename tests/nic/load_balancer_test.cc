@@ -31,23 +31,19 @@ msgWithKey(std::uint64_t key)
 TEST(RoundRobinLb, CyclesThroughFlows)
 {
     RoundRobinLb lb;
-    ConnTuple t;
-    auto m = msgWithKey(1);
-    EXPECT_EQ(lb.pick(m, t, 4), 0u);
-    EXPECT_EQ(lb.pick(m, t, 4), 1u);
-    EXPECT_EQ(lb.pick(m, t, 4), 2u);
-    EXPECT_EQ(lb.pick(m, t, 4), 3u);
-    EXPECT_EQ(lb.pick(m, t, 4), 0u);
+    EXPECT_EQ(lb.pick(4), 0u);
+    EXPECT_EQ(lb.pick(4), 1u);
+    EXPECT_EQ(lb.pick(4), 2u);
+    EXPECT_EQ(lb.pick(4), 3u);
+    EXPECT_EQ(lb.pick(4), 0u);
 }
 
 TEST(RoundRobinLb, UniformOverManyRequests)
 {
     RoundRobinLb lb;
-    ConnTuple t;
-    auto m = msgWithKey(1);
     std::map<unsigned, int> hist;
     for (int i = 0; i < 400; ++i)
-        ++hist[lb.pick(m, t, 4)];
+        ++hist[lb.pick(4)];
     for (auto &[f, n] : hist)
         EXPECT_EQ(n, 100) << "flow " << f;
 }
@@ -57,32 +53,29 @@ TEST(StaticLb, UsesConnectionTuple)
     StaticLb lb;
     ConnTuple t;
     t.srcFlow = 3;
-    auto m = msgWithKey(1);
-    EXPECT_EQ(lb.pick(m, t, 8), 3u);
-    EXPECT_EQ(lb.pick(m, t, 8), 3u);
+    EXPECT_EQ(lb.pick(t, 8), 3u);
+    EXPECT_EQ(lb.pick(t, 8), 3u);
     // Clamped into the active-flow range.
-    EXPECT_EQ(lb.pick(m, t, 2), 1u);
+    EXPECT_EQ(lb.pick(t, 2), 1u);
 }
 
 TEST(ObjectLevelLb, SameKeyAlwaysSameFlow)
 {
     ObjectLevelLb lb(0, 8);
-    ConnTuple t;
     for (std::uint64_t key : {1ull, 42ull, 0xdeadbeefull}) {
         auto m = msgWithKey(key);
-        const unsigned first = lb.pick(m, t, 8);
+        const unsigned first = lb.pick(m, 8);
         for (int i = 0; i < 10; ++i)
-            EXPECT_EQ(lb.pick(m, t, 8), first) << key;
+            EXPECT_EQ(lb.pick(m, 8), first) << key;
     }
 }
 
 TEST(ObjectLevelLb, SpreadsDistinctKeys)
 {
     ObjectLevelLb lb(0, 8);
-    ConnTuple t;
     std::map<unsigned, int> hist;
     for (std::uint64_t key = 0; key < 4000; ++key)
-        ++hist[lb.pick(msgWithKey(key), t, 4)];
+        ++hist[lb.pick(msgWithKey(key), 4)];
     ASSERT_EQ(hist.size(), 4u);
     for (auto &[f, n] : hist)
         EXPECT_NEAR(n, 1000, 150) << "flow " << f;
@@ -91,28 +84,10 @@ TEST(ObjectLevelLb, SpreadsDistinctKeys)
 TEST(ObjectLevelLb, ShortPayloadFallsBackToFlowZero)
 {
     ObjectLevelLb lb(0, 8);
-    ConnTuple t;
     std::uint16_t tiny = 7;
     proto::RpcMessage m(1, 1, 0, proto::MsgType::Request, &tiny,
                         sizeof(tiny));
-    EXPECT_EQ(lb.pick(m, t, 8), 0u);
-}
-
-TEST(LbFactory, ProducesRequestedScheme)
-{
-    EXPECT_EQ(makeLoadBalancer(LbScheme::RoundRobin)->scheme(),
-              LbScheme::RoundRobin);
-    EXPECT_EQ(makeLoadBalancer(LbScheme::Static)->scheme(),
-              LbScheme::Static);
-    EXPECT_EQ(makeLoadBalancer(LbScheme::ObjectLevel, 4, 16)->scheme(),
-              LbScheme::ObjectLevel);
-}
-
-TEST(LbNames, AreStable)
-{
-    EXPECT_STREQ(lbSchemeName(LbScheme::RoundRobin), "round-robin");
-    EXPECT_STREQ(lbSchemeName(LbScheme::Static), "static");
-    EXPECT_STREQ(lbSchemeName(LbScheme::ObjectLevel), "object-level");
+    EXPECT_EQ(lb.pick(m, 8), 0u);
 }
 
 } // namespace

@@ -20,7 +20,7 @@ using sim::Tick;
 TEST(CpuCore, WorkSerializesOnOneThread)
 {
     EventQueue eq;
-    CpuCore core(eq, 0);
+    CpuCore core(eq);
     std::vector<Tick> done;
     core.thread(0).execute(nsToTicks(100), [&] { done.push_back(eq.now()); });
     core.thread(0).execute(nsToTicks(100), [&] { done.push_back(eq.now()); });
@@ -33,7 +33,7 @@ TEST(CpuCore, WorkSerializesOnOneThread)
 TEST(CpuCore, SiblingsContendViaSmtPenalty)
 {
     EventQueue eq;
-    CpuCore core(eq, 0, 1.6);
+    CpuCore core(eq, 1.6);
     Tick t0_done = 0, t1_done = 0;
     core.thread(0).execute(nsToTicks(100), [&] { t0_done = eq.now(); });
     core.thread(1).execute(nsToTicks(100), [&] { t1_done = eq.now(); });
@@ -47,7 +47,7 @@ TEST(CpuCore, SiblingsContendViaSmtPenalty)
 TEST(CpuCore, NoContentionWhenSequential)
 {
     EventQueue eq;
-    CpuCore core(eq, 0, 1.6);
+    CpuCore core(eq, 1.6);
     Tick t1_done = 0;
     core.thread(0).execute(nsToTicks(100), [&] {});
     eq.runAll();
@@ -59,7 +59,7 @@ TEST(CpuCore, NoContentionWhenSequential)
 TEST(CpuCore, UtilizationAccounting)
 {
     EventQueue eq;
-    CpuCore core(eq, 0);
+    CpuCore core(eq);
     core.thread(0).execute(nsToTicks(300), [] {});
     eq.runAll();
     EXPECT_NEAR(core.utilization(nsToTicks(600)), 0.5, 1e-9);
@@ -86,7 +86,7 @@ TEST(CpuSetDeath, TooManyLogicalThreads)
 TEST(HwThread, IdleReflectsBusyUntil)
 {
     EventQueue eq;
-    CpuCore core(eq, 0);
+    CpuCore core(eq);
     EXPECT_TRUE(core.thread(0).idle());
     core.thread(0).execute(nsToTicks(50), [] {});
     EXPECT_FALSE(core.thread(0).idle());

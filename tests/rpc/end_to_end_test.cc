@@ -142,18 +142,17 @@ TEST(EndToEnd, MultiFrameRpcRoundTrips)
     EXPECT_EQ(got, big);
 }
 
-TEST(EndToEnd, CompletionQueueCollectsWhenNoCallback)
+TEST(EndToEnd, CallWithoutContinuationCompletes)
 {
     Testbed rig(config());
     std::uint64_t v = 99;
     rig.client().callPod(kEcho, v);
     rig.system().runFor(usToTicks(100));
-    EXPECT_EQ(rig.client().completions().size(), 1u);
-    proto::RpcMessage resp;
-    ASSERT_TRUE(rig.client().completions().pop(resp));
-    std::uint64_t out = 0;
-    ASSERT_TRUE(resp.payloadAs(out));
-    EXPECT_EQ(out, 99u);
+    // Counted and timed, then dropped: nothing keeps the response.
+    EXPECT_EQ(rig.client().responses(), 1u);
+    EXPECT_EQ(rig.client().pendingCalls(), 0u);
+    EXPECT_EQ(rig.client().latency().count(), 1u);
+    EXPECT_EQ(rig.client().orphanResponses(), 0u);
 }
 
 TEST(EndToEnd, WorkerPoolModelStillCorrect)

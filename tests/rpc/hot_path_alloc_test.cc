@@ -175,6 +175,35 @@ TEST(HotPathAlloc, RetryPolicyWithoutLossAllocatesNothing)
     EXPECT_EQ(loop.mismatches(), 0u);
 }
 
+TEST(HotPathAlloc, OpenLoopAllocationsDoNotGrowWithCompletions)
+{
+    // Testbed::offer's calls carry no continuation; such a response is
+    // counted and dropped, so a run twice as long must not allocate per
+    // extra completion.  What a fresh testbed still allocates late in
+    // a run is the event queue's wheel buckets reaching new maxima
+    // under Poisson bursts: about 0.06 per extra completion here.  A
+    // container that keeps each response (one 512 B block per five
+    // 88 B messages) adds 0.2 more.
+    auto run = [](sim::Tick measure, std::uint64_t &responses) {
+        Testbed tb(echoConfig(512));
+        const std::uint64_t allocs = allocsIn(
+            [&] { tb.offer(6.0, sim::msToTicks(1), measure); });
+        responses = tb.client().responses();
+        return allocs;
+    };
+    std::uint64_t short_done = 0, long_done = 0;
+    const std::uint64_t short_allocs = run(sim::msToTicks(2), short_done);
+    const std::uint64_t long_allocs = run(sim::msToTicks(4), long_done);
+    ASSERT_GT(long_done, short_done + 10000);
+    const double per_extra =
+        (static_cast<double>(long_allocs) -
+         static_cast<double>(short_allocs)) /
+        static_cast<double>(long_done - short_done);
+    EXPECT_LT(per_extra, 0.1)
+        << "2 ms: " << short_allocs << " allocs for " << short_done
+        << " responses, 4 ms: " << long_allocs << " for " << long_done;
+}
+
 TEST(HotPathAlloc, BulkEchoAllocationsDoNotGrowWithFrames)
 {
     // 2 KB (43 frames) against 4 KB (86 frames).  What remains per RPC

@@ -1,7 +1,8 @@
 /**
  * @file
- * DaggerSystem-level tests: connection lifecycle, send-cost model
- * plumbing, SRQ sharing, orphan responses, stats reporting.
+ * DaggerSystem-level tests: connection ids, send-cost model
+ * plumbing, SRQ sharing, orphan responses, stats reporting, and the
+ * testbed's one-driver rule.
  */
 
 #include <gtest/gtest.h>
@@ -27,19 +28,19 @@ config()
     return cfg;
 }
 
-TEST(DaggerSystem, DisconnectStopsTraffic)
+TEST(DaggerSystem, UnopenedConnectionDropsAtNic)
 {
     Testbed rig(config());
-    auto conn = rig.system().connect(rig.clientNode(), 0, rig.serverNode(), 0);
-    rig.client().setConnection(conn);
     std::uint64_t done = 0;
     std::uint64_t v = 1;
     rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
     rig.system().runFor(usToTicks(100));
     ASSERT_EQ(done, 1u);
 
-    rig.system().disconnect(conn);
-    rig.client().callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
+    // No connection 999 was ever opened: the client NIC finds no tuple
+    // for it and drops the request before the wire.
+    rig.client().callAsyncOn(999, 1, &v, sizeof(v),
+                             [&](const proto::RpcMessage &) { ++done; });
     rig.system().runFor(usToTicks(100));
     EXPECT_EQ(done, 1u); // second call never completed
     EXPECT_EQ(
@@ -139,23 +140,15 @@ TEST(DaggerSystem, ReportContainsKeyCounters)
     EXPECT_NE(report.find("\"node0.nic.rpcs_out\": 5"), std::string::npos);
 }
 
-TEST(DaggerSystem, CompletionContinuationFires)
+TEST(TestbedDeath, SecondDriverPanics)
 {
+    // A driver's arrival chains and client modes outlive its run, so a
+    // second driver on the same testbed would measure both.
     Testbed rig(config());
-    int via_continuation = 0;
-    rig.client().completions().setContinuation(
-        [&](const proto::RpcMessage &) { ++via_continuation; });
-    std::uint64_t v = 5;
-    rig.client().callPod(1, v); // no per-call callback
-    rig.system().runFor(usToTicks(100));
-    EXPECT_EQ(via_continuation, 1);
-    EXPECT_EQ(rig.client().completions().size(), 0u); // consumed
-}
-
-TEST(DaggerSystemDeath, DisconnectUnknownConnection)
-{
-    Testbed rig(config());
-    EXPECT_DEATH(rig.system().disconnect(999), "unknown connection");
+    rig.offer(1.0, usToTicks(10), usToTicks(10));
+    EXPECT_DEATH(rig.offer(1.0, usToTicks(10), usToTicks(10)), "one driver");
+    EXPECT_DEATH(rig.saturate(1, usToTicks(10), usToTicks(10)), "one driver");
+    EXPECT_DEATH(rig.floodPeak(usToTicks(10), usToTicks(10)), "one driver");
 }
 
 } // namespace

@@ -84,22 +84,6 @@ TEST(Rng, ExponentialHasRequestedMean)
     EXPECT_NEAR(sum / kN, 250.0, 5.0);
 }
 
-TEST(Rng, NormalMoments)
-{
-    Rng r(17);
-    double sum = 0, sq = 0;
-    constexpr int kN = 200000;
-    for (int i = 0; i < kN; ++i) {
-        double v = r.normal(10.0, 3.0);
-        sum += v;
-        sq += v * v;
-    }
-    double mean = sum / kN;
-    double var = sq / kN - mean * mean;
-    EXPECT_NEAR(mean, 10.0, 0.1);
-    EXPECT_NEAR(var, 9.0, 0.3);
-}
-
 TEST(Zipf, SamplesStayInRange)
 {
     ZipfianGenerator z(1000, 0.99);
